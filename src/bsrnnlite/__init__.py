@@ -1,20 +1,19 @@
 """Band-split RNN speech enhancement: inference engine and MACs analyzer.
 
 The public surface re-exported here covers the normal workflow: build a
-ModelConfig (directly, from a preset, or from JSON via configio), pair it
-with weights (gen_weights or a BSRW file), then enhance audio or account
-for its cost.
+ModelConfig (directly, from a preset, or from JSON), pair it with weights
+(gen_weights or a BSRW file), then enhance audio or account for its cost.
+Kernels and plumbing stay in their submodules: ``bsrnnlite.rnn``,
+``.resample``, ``.prune``, ``.macs``, ``.model`` and ``.configio``.
 """
 
-from .bands import BandConfig, apply_mask, band_split, canonical_bands, estimate_mask
-from .configio import config_from_dict, config_to_dict, load_config, save_config
+from .bands import BandConfig, apply_mask, band_split, estimate_mask
+from .configio import load_config, save_config
 from .dsp import OaConfig, StftConfig, istft, observation_add, stft
 from .errors import AudioFormatError, BsrnnLiteError, ConfigError, WeightsFormatError
 from .macs import (
     MacsReport,
-    MacsTally,
     analyze,
-    analyze_frames,
     calibrate_feature_dims,
     canonical_chain,
     count_forward,
@@ -23,7 +22,6 @@ from .macs import (
 from .model import (
     Model,
     ModelConfig,
-    ModelWeights,
     build,
     canonical_config,
     enhance,
@@ -31,25 +29,9 @@ from .model import (
     forward_features,
     preset_config,
     preset_names,
-    weights_from_arrays,
 )
-from .prune import SbpStrategy, apply_pruned_time_rnn, prune_schedule
-from .resample import (
-    LwrStrategy,
-    downsample_t,
-    plan_resampling,
-    pps_wrap,
-    resampled_sublayer,
-    upsample_t,
-)
-from .rnn import (
-    GroupedLayerWeights,
-    LstmWeights,
-    grouped_forward,
-    lstm_forward,
-    lstm_step,
-    rearrange,
-)
+from .prune import SbpStrategy, prune_schedule
+from .resample import LwrStrategy, plan_resampling
 from .weights_io import gen_weights, load_weights, save_weights
 
 __version__ = "0.1.0"
@@ -59,55 +41,37 @@ __all__ = [
     "BandConfig",
     "BsrnnLiteError",
     "ConfigError",
-    "GroupedLayerWeights",
-    "LstmWeights",
     "LwrStrategy",
     "MacsReport",
-    "MacsTally",
     "Model",
     "ModelConfig",
-    "ModelWeights",
     "OaConfig",
     "SbpStrategy",
     "StftConfig",
     "WeightsFormatError",
     "analyze",
-    "analyze_frames",
     "apply_mask",
-    "apply_pruned_time_rnn",
     "band_split",
     "build",
     "calibrate_feature_dims",
-    "canonical_bands",
     "canonical_chain",
     "canonical_config",
-    "config_from_dict",
-    "config_to_dict",
     "count_forward",
-    "downsample_t",
     "enhance",
     "estimate_mask",
     "expected_tensors",
     "forward_features",
     "gen_weights",
-    "grouped_forward",
     "istft",
     "load_config",
     "load_weights",
-    "lstm_forward",
-    "lstm_step",
     "observation_add",
     "plan_resampling",
-    "pps_wrap",
     "preset_config",
     "preset_names",
     "prune_schedule",
-    "rearrange",
     "reduction_table",
-    "resampled_sublayer",
     "save_config",
     "save_weights",
     "stft",
-    "upsample_t",
-    "weights_from_arrays",
 ]

@@ -90,11 +90,6 @@ class BandProjection:
 
 
 @dataclass(frozen=True)
-class BandSplitWeights:
-    bands: tuple
-
-
-@dataclass(frozen=True)
 class MaskBandHead:
     """Per-band decoder params: norm over N, dense N -> hidden, dense hidden -> 2w."""
 
@@ -106,27 +101,22 @@ class MaskBandHead:
     fc2_bias: np.ndarray
 
 
-@dataclass(frozen=True)
-class MaskHeadWeights:
-    bands: tuple
-
-
-def band_split(spec: np.ndarray, weights: BandSplitWeights, config: BandConfig,
+def band_split(spec: np.ndarray, weights: tuple, config: BandConfig,
                tally=None) -> np.ndarray:
-    """Encode a complex spectrogram ``[F x T]`` into features ``[K x T x N]``."""
+    """Encode a spectrogram ``[F x T]`` into ``[K x T x N]``; one BandProjection per band."""
     spec = np.asarray(spec)
     if spec.ndim != 2:
         raise ConfigError(f"spectrogram must be [F x T], got shape {spec.shape}")
     config.validate_for_bins(spec.shape[0])
-    if len(weights.bands) != config.num_bands:
+    if len(weights) != config.num_bands:
         raise ConfigError(
-            f"{len(weights.bands)} band projections for {config.num_bands} bands"
+            f"{len(weights)} band projections for {config.num_bands} bands"
         )
     t = spec.shape[1]
-    n = weights.bands[0].weight.shape[0]
+    n = weights[0].weight.shape[0]
     out = np.empty((config.num_bands, t, n))
     for k, (start, end) in enumerate(config.boundaries):
-        bw = weights.bands[k]
+        bw = weights[k]
         sub = spec[start:end]
         x = np.concatenate([sub.real, sub.imag], axis=0).T.astype(np.float64)
         x = layer_norm(x, bw.norm_gamma, bw.norm_beta)
@@ -134,22 +124,22 @@ def band_split(spec: np.ndarray, weights: BandSplitWeights, config: BandConfig,
     return out
 
 
-def estimate_mask(features: np.ndarray, weights: MaskHeadWeights, config: BandConfig,
+def estimate_mask(features: np.ndarray, weights: tuple, config: BandConfig,
                   tally=None) -> np.ndarray:
-    """Decode features ``[K x T x N]`` into a complex mask ``[F x T]``."""
+    """Decode ``[K x T x N]`` into a complex mask ``[F x T]``; one MaskBandHead per band."""
     features = np.asarray(features)
     if features.ndim != 3 or features.shape[0] != config.num_bands:
         raise ConfigError(
             f"features must be [{config.num_bands} x T x N], got shape {features.shape}"
         )
-    if len(weights.bands) != config.num_bands:
+    if len(weights) != config.num_bands:
         raise ConfigError(
-            f"{len(weights.bands)} mask heads for {config.num_bands} bands"
+            f"{len(weights)} mask heads for {config.num_bands} bands"
         )
     t = features.shape[1]
     mask = np.empty((config.total_bins, t), dtype=np.complex64)
     for k, (start, end) in enumerate(config.boundaries):
-        hw = weights.bands[k]
+        hw = weights[k]
         x = layer_norm(features[k], hw.norm_gamma, hw.norm_beta)
         hidden = np.tanh(dense(x, hw.fc1_weight, hw.fc1_bias, tally, "mask_head"))
         y = dense(hidden, hw.fc2_weight, hw.fc2_bias, tally, "mask_head")

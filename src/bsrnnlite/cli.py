@@ -132,6 +132,8 @@ def cmd_gen_weights(args) -> int:
 def cmd_bench(args) -> int:
     if args.seconds <= 0:
         raise ConfigError(f"--seconds must be positive, got {args.seconds}")
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     config = configio.load_config(args.config)
     if args.weights is not None:
         arrays, _meta = weights_io.load_weights(args.weights)

@@ -25,9 +25,7 @@ import numpy as np
 from .bands import (
     BandConfig,
     BandProjection,
-    BandSplitWeights,
     MaskBandHead,
-    MaskHeadWeights,
     apply_mask,
     band_split,
     canonical_bands,
@@ -156,6 +154,59 @@ def preset_config(name: str) -> ModelConfig:
         ) from None
 
 
+def _layout(config: ModelConfig) -> dict:
+    """Every parameter's name and shape, stated once, in serialization order.
+
+    Leaves are ``(name, shape)``. A dict maps the fields of one weights
+    record to their leaves; a list holds repeated records (bands, layers,
+    groups, directions). :func:`expected_tensors` flattens the tree
+    depth-first and :func:`weights_from_arrays` fills it with arrays.
+    """
+    n, h, g = config.feature_dim, config.hidden_dim, config.group_size
+    ng, hg = n // g, h // g
+
+    def norm(p, dim):
+        return {"norm_gamma": (f"{p}.norm.gamma", (dim,)), "norm_beta": (f"{p}.norm.beta", (dim,))}
+
+    def linear(p, part, out_dim, in_dim, field=None):
+        field = f"{part}_" if field is None else field
+        return {f"{field}weight": (f"{p}.{part}.weight", (out_dim, in_dim)),
+                f"{field}bias": (f"{p}.{part}.bias", (out_dim,))}
+
+    def sublayer(p, dirs):
+        def cell(q):
+            return {"w_input": (f"{q}.w_input", (4 * hg, ng)),
+                    "w_hidden": (f"{q}.w_hidden", (4 * hg, hg)),
+                    "bias": (f"{q}.bias", (4 * hg,))}
+
+        cells = [[cell(f"{p}.group{j}.{d}") for d in ("fwd", "bwd")[:dirs]] for j in range(g)]
+        return {**norm(p, n), "cells": cells, **linear(p, "proj", n, dirs * h)}
+
+    def per_band(stage, record):
+        return [record(f"{stage}.band{k:02d}", 2 * w) for k, w in enumerate(config.bands.widths)]
+
+    hidden = config.mask_hidden_dim
+    sublayers = (("band", 2 if config.band_rnn_bidirectional else 1),
+                 ("time", 1 if config.time_rnn_causal else 2))
+    return {
+        "split": per_band("band_split", lambda p, w2: {**norm(p, w2), **linear(p, "proj", n, w2, "")}),
+        "layers": [{sub: sublayer(f"layer{l}.{sub}", dirs) for sub, dirs in sublayers}
+                   for l in range(1, config.num_layers + 1)],
+        "head": per_band("mask_head", lambda p, w2: {
+            **norm(p, n), **linear(p, "fc1", hidden, n), **linear(p, "fc2", w2, hidden)
+        }),
+    }
+
+
+def _map_leaves(tree, fn):
+    """Same tree with every ``(name, shape)`` leaf replaced by ``fn(name, shape)``."""
+    if isinstance(tree, dict):
+        return {key: _map_leaves(sub, fn) for key, sub in tree.items()}
+    if isinstance(tree, list):
+        return [_map_leaves(sub, fn) for sub in tree]
+    return fn(*tree)
+
+
 def expected_tensors(config: ModelConfig) -> dict:
     """Tensor name -> shape for every parameter of ``config``.
 
@@ -163,52 +214,18 @@ def expected_tensors(config: ModelConfig) -> dict:
     weights file and the seeded generator.
     """
     out: dict = {}
-    n, h, g = config.feature_dim, config.hidden_dim, config.group_size
-    ng, hg = n // g, h // g
-
-    for k, (start, end) in enumerate(config.bands.boundaries):
-        w2 = 2 * (end - start)
-        p = f"band_split.band{k:02d}"
-        out[f"{p}.norm.gamma"] = (w2,)
-        out[f"{p}.norm.beta"] = (w2,)
-        out[f"{p}.proj.weight"] = (n, w2)
-        out[f"{p}.proj.bias"] = (n,)
-
-    band_dirs = 2 if config.band_rnn_bidirectional else 1
-    time_dirs = 1 if config.time_rnn_causal else 2
-    for layer in range(1, config.num_layers + 1):
-        for sub, dirs in (("band", band_dirs), ("time", time_dirs)):
-            p = f"layer{layer}.{sub}"
-            out[f"{p}.norm.gamma"] = (n,)
-            out[f"{p}.norm.beta"] = (n,)
-            for j in range(g):
-                for d in ("fwd", "bwd")[:dirs]:
-                    q = f"{p}.group{j}.{d}"
-                    out[f"{q}.w_input"] = (4 * hg, ng)
-                    out[f"{q}.w_hidden"] = (4 * hg, hg)
-                    out[f"{q}.bias"] = (4 * hg,)
-            out[f"{p}.proj.weight"] = (n, dirs * h)
-            out[f"{p}.proj.bias"] = (n,)
-
-    hidden = config.mask_hidden_dim
-    for k, (start, end) in enumerate(config.bands.boundaries):
-        w2 = 2 * (end - start)
-        p = f"mask_head.band{k:02d}"
-        out[f"{p}.norm.gamma"] = (n,)
-        out[f"{p}.norm.beta"] = (n,)
-        out[f"{p}.fc1.weight"] = (hidden, n)
-        out[f"{p}.fc1.bias"] = (hidden,)
-        out[f"{p}.fc2.weight"] = (w2, hidden)
-        out[f"{p}.fc2.bias"] = (w2,)
+    _map_leaves(_layout(config), out.__setitem__)
     return out
 
 
 @dataclass(frozen=True)
 class ModelWeights:
-    band_split: BandSplitWeights
+    """``band_split``/``mask_head`` hold one BandProjection/MaskBandHead per band."""
+
+    band_split: tuple
     band_layers: tuple
     time_layers: tuple
-    mask_head: MaskHeadWeights
+    mask_head: tuple
 
 
 def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
@@ -223,72 +240,26 @@ def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
             raise WeightsFormatError(f"missing tensor {name}")
     extras = sorted(set(arrays) - set(expected))
     if extras:
-        raise WeightsFormatError(
-            f"{len(extras)} unexpected tensors, first: {extras[0]}"
-        )
+        raise WeightsFormatError(f"{len(extras)} unexpected tensors, first: {extras[0]}")
 
-    tensors = {}
-    for name, shape in expected.items():
+    def take(name, shape):
         a = np.asarray(arrays[name])
         if a.shape != shape:
-            raise WeightsFormatError(
-                f"tensor {name} has shape {a.shape}, expected {shape}"
-            )
-        tensors[name] = a.astype(np.float64)
+            raise WeightsFormatError(f"tensor {name} has shape {a.shape}, expected {shape}")
+        return a.astype(np.float64)
 
-    def cell(prefix: str) -> LstmWeights:
-        return LstmWeights(
-            w_input=tensors[f"{prefix}.w_input"],
-            w_hidden=tensors[f"{prefix}.w_hidden"],
-            bias=tensors[f"{prefix}.bias"],
-        )
+    def grouped(fields: dict) -> GroupedLayerWeights:
+        cells = [tuple(LstmWeights(**c) for c in d) for d in zip(*fields.pop("cells"))]
+        return GroupedLayerWeights(**fields, forward_cells=cells[0],
+                                   backward_cells=cells[1] if len(cells) == 2 else None)
 
-    def grouped(prefix: str, dirs: int) -> GroupedLayerWeights:
-        g = config.group_size
-        fwd = tuple(cell(f"{prefix}.group{j}.fwd") for j in range(g))
-        bwd = tuple(cell(f"{prefix}.group{j}.bwd") for j in range(g)) if dirs == 2 else None
-        return GroupedLayerWeights(
-            norm_gamma=tensors[f"{prefix}.norm.gamma"],
-            norm_beta=tensors[f"{prefix}.norm.beta"],
-            forward_cells=fwd,
-            backward_cells=bwd,
-            proj_weight=tensors[f"{prefix}.proj.weight"],
-            proj_bias=tensors[f"{prefix}.proj.bias"],
-        )
-
-    split = BandSplitWeights(
-        tuple(
-            BandProjection(
-                norm_gamma=tensors[f"band_split.band{k:02d}.norm.gamma"],
-                norm_beta=tensors[f"band_split.band{k:02d}.norm.beta"],
-                weight=tensors[f"band_split.band{k:02d}.proj.weight"],
-                bias=tensors[f"band_split.band{k:02d}.proj.bias"],
-            )
-            for k in range(config.num_bands)
-        )
+    t = _map_leaves(_layout(config), take)
+    return ModelWeights(
+        band_split=tuple(BandProjection(**b) for b in t["split"]),
+        band_layers=tuple(grouped(l["band"]) for l in t["layers"]),
+        time_layers=tuple(grouped(l["time"]) for l in t["layers"]),
+        mask_head=tuple(MaskBandHead(**b) for b in t["head"]),
     )
-    band_dirs = 2 if config.band_rnn_bidirectional else 1
-    time_dirs = 1 if config.time_rnn_causal else 2
-    band_layers = tuple(
-        grouped(f"layer{l}.band", band_dirs) for l in range(1, config.num_layers + 1)
-    )
-    time_layers = tuple(
-        grouped(f"layer{l}.time", time_dirs) for l in range(1, config.num_layers + 1)
-    )
-    head = MaskHeadWeights(
-        tuple(
-            MaskBandHead(
-                norm_gamma=tensors[f"mask_head.band{k:02d}.norm.gamma"],
-                norm_beta=tensors[f"mask_head.band{k:02d}.norm.beta"],
-                fc1_weight=tensors[f"mask_head.band{k:02d}.fc1.weight"],
-                fc1_bias=tensors[f"mask_head.band{k:02d}.fc1.bias"],
-                fc2_weight=tensors[f"mask_head.band{k:02d}.fc2.weight"],
-                fc2_bias=tensors[f"mask_head.band{k:02d}.fc2.bias"],
-            )
-            for k in range(config.num_bands)
-        )
-    )
-    return ModelWeights(split, band_layers, time_layers, head)
 
 
 @dataclass(frozen=True)
@@ -315,20 +286,18 @@ def build(config: ModelConfig, weights) -> Model:
     return Model(config, weights, plan, counts)
 
 
-def _band_core(x, w: GroupedLayerWeights, tally, component):
-    """Band-RNN core on [K x T' x N]: sequences run across K, batched over T'."""
-    xn = layer_norm(x, w.norm_gamma, w.norm_beta)
-    seqs = xn.transpose(1, 0, 2)
-    h = grouped_forward_batch(seqs, w, tally, component)
-    out = dense(h, w.proj_weight, w.proj_bias, tally, component)
-    return out.transpose(1, 0, 2)
+def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool, tally, component):
+    """Sublayer core on [K' x T' x N]: norm -> grouped RNN -> dense.
 
-
-def _time_core(x, w: GroupedLayerWeights, tally, component):
-    """Time-RNN core on [K' x T' x N]: sequences run across T', batched over K'."""
+    The band RNN runs its sequences across K, batched over T'; the time
+    RNN runs them across T', batched over K'.
+    """
     xn = layer_norm(x, w.norm_gamma, w.norm_beta)
+    if across_bands:
+        xn = xn.transpose(1, 0, 2)
     h = grouped_forward_batch(xn, w, tally, component)
-    return dense(h, w.proj_weight, w.proj_bias, tally, component)
+    out = dense(h, w.proj_weight, w.proj_bias, tally, component)
+    return out.transpose(1, 0, 2) if across_bands else out
 
 
 def forward_features(model: Model, features: np.ndarray, tally=None, probe=None) -> np.ndarray:
@@ -360,7 +329,7 @@ def forward_features(model: Model, features: np.ndarray, tally=None, probe=None)
                 probe("band_in", layer, y)
             y = resampled_sublayer(
                 y,
-                lambda z: _band_core(z, bw, tally, comp_b),
+                lambda z: _sublayer_core(z, bw, True, tally, comp_b),
                 lp.factor if lp.band_resampled else 1,
             )
             if probe is not None:
@@ -374,7 +343,7 @@ def forward_features(model: Model, features: np.ndarray, tally=None, probe=None)
                 y,
                 lambda z: resampled_sublayer(
                     z,
-                    lambda q: _time_core(q, tw, tally, comp_t),
+                    lambda q: _sublayer_core(q, tw, False, tally, comp_t),
                     lp.factor if lp.time_resampled else 1,
                 ),
                 skip,

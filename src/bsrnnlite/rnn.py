@@ -236,18 +236,8 @@ def grouped_forward_batch(seqs: np.ndarray, weights: GroupedLayerWeights, tally=
     return rearrange(merged, g)
 
 
-def grouped_forward(seq: np.ndarray, weights: GroupedLayerWeights, bidirectional: bool | None = None):
-    """Single-sequence wrapper around :func:`grouped_forward_batch`.
-
-    Direction count is a structural property of the weights; an explicit
-    ``bidirectional`` flag is accepted for symmetry with :func:`lstm_forward`
-    and must agree with the weights when given.
-    """
-    if bidirectional is not None and bidirectional != weights.bidirectional:
-        raise ConfigError(
-            f"bidirectional={bidirectional} contradicts weights "
-            f"(backward cells {'present' if weights.bidirectional else 'absent'})"
-        )
+def grouped_forward(seq: np.ndarray, weights: GroupedLayerWeights):
+    """Single-sequence :func:`grouped_forward_batch`; the weights set the direction count."""
     if seq.ndim != 2:
         raise ConfigError(f"sequence must be [T x I], got shape {seq.shape}")
     return grouped_forward_batch(seq[None], weights)[0]

@@ -23,6 +23,7 @@ definition, and files are byte-identical across runs and platforms.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,10 @@ def _align_up(n: int) -> int:
     return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def save_weights(path: str | Path, arrays: dict, meta: dict | None = None) -> None:
     """Write a name -> float32 array mapping in container order."""
     tensors = {}
@@ -105,7 +110,8 @@ def load_weights(path: str | Path):
     """Read a BSRW file back into ``(arrays, meta)``.
 
     Arrays come back float32 in manifest order. Structural problems
-    (magic, version, dtype, offsets out of range or misaligned) raise
+    (magic, version, malformed entries, dtype, offsets out of range or
+    misaligned) raise
     WeightsFormatError; whether the tensor *set* matches a config is the
     model builder's concern.
     """
@@ -132,13 +138,20 @@ def load_weights(path: str | Path):
     payload = raw[payload_base:]
     arrays = {}
     for name, info in doc["tensors"].items():
+        if not isinstance(info, dict):
+            raise WeightsFormatError(f"tensor {name} entry is not an object")
         if info.get("dtype") != "f32":
             raise WeightsFormatError(f"tensor {name} has unsupported dtype {info.get('dtype')!r}")
-        shape = tuple(int(d) for d in info["shape"])
-        offset = int(info["offset"])
+        shape, offset = info.get("shape"), info.get("offset")
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise WeightsFormatError(
+                f"tensor {name} shape {shape!r} is not a list of non-negative ints")
+        if not _is_count(offset):
+            raise WeightsFormatError(f"tensor {name} offset {offset!r} is not a non-negative int")
+        shape = tuple(shape)
         if offset % ALIGNMENT:
             raise WeightsFormatError(f"tensor {name} offset {offset} not {ALIGNMENT}-byte aligned")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
+        nbytes = math.prod(shape) * 4
         if offset + nbytes > len(payload):
             raise WeightsFormatError(f"tensor {name} extends past end of file")
         arrays[name] = np.frombuffer(payload[offset : offset + nbytes], dtype=np.float32).reshape(shape)

@@ -16,7 +16,6 @@ from bsrnnlite import (
     SbpStrategy,
     StftConfig,
     analyze,
-    analyze_frames,
     build,
     canonical_chain,
     canonical_config,
@@ -24,17 +23,15 @@ from bsrnnlite import (
     enhance,
     forward_features,
     gen_weights,
-    grouped_forward,
     istft,
-    lstm_forward,
     prune_schedule,
-    rearrange,
     stft,
     wavio,
 )
 from bsrnnlite.cli import EXIT_OK, main
+from bsrnnlite.macs import analyze_frames
 from bsrnnlite.model import ModelConfig
-from bsrnnlite.rnn import LstmWeights, lstm_forward_batch
+from bsrnnlite.rnn import LstmWeights, grouped_forward, lstm_forward, lstm_forward_batch, rearrange
 
 import conftest
 from reference import naive_lstm_forward

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from bsrnnlite import BandConfig, ConfigError, canonical_bands
+from bsrnnlite import BandConfig, ConfigError
 from bsrnnlite import apply_mask, band_split, estimate_mask
-from bsrnnlite.bands import BandProjection, BandSplitWeights, MaskBandHead, MaskHeadWeights
+from bsrnnlite.bands import BandProjection, MaskBandHead, canonical_bands
 from bsrnnlite.macs import MacsTally
 
 from reference import naive_dense, naive_layer_norm
@@ -54,7 +54,7 @@ def _split_weights(rng, layout, n, zero_bias=False):
             weight=rng.uniform(-1, 1, (n, w2)),
             bias=np.zeros(n) if zero_bias else rng.uniform(-0.5, 0.5, n),
         ))
-    return BandSplitWeights(tuple(bands))
+    return tuple(bands)
 
 
 def _head_weights(rng, layout, n, hidden, zero_bias=False):
@@ -69,7 +69,7 @@ def _head_weights(rng, layout, n, hidden, zero_bias=False):
             fc2_weight=rng.uniform(-1, 1, (w2, hidden)),
             fc2_bias=np.zeros(w2) if zero_bias else rng.uniform(-0.5, 0.5, w2),
         ))
-    return MaskHeadWeights(tuple(bands))
+    return tuple(bands)
 
 
 LAYOUT = BandConfig(((0, 2), (2, 5)))
@@ -91,8 +91,8 @@ class TestBandSplit:
             sub = spec.astype(np.complex64)[start:end]
             x = np.concatenate([sub.real, sub.imag], axis=0).T
             want = naive_dense(
-                naive_layer_norm(x, w.bands[k].norm_gamma, w.bands[k].norm_beta),
-                w.bands[k].weight, w.bands[k].bias,
+                naive_layer_norm(x, w[k].norm_gamma, w[k].norm_beta),
+                w[k].weight, w[k].bias,
             )
             assert np.max(np.abs(feats[k] - want)) < 1e-9
 
@@ -126,14 +126,14 @@ class TestMaskHead:
         rng = np.random.default_rng(6)
         w = _head_weights(rng, LAYOUT, 4, 8)
         bands = []
-        for k, hb in enumerate(w.bands):
+        for k, hb in enumerate(w):
             w2 = hb.fc2_bias.shape[0]
             width = w2 // 2
             bias = np.concatenate([np.full(width, 10.0 + k), np.full(width, -(20.0 + k))])
             bands.append(MaskBandHead(hb.norm_gamma, hb.norm_beta,
                                       np.zeros_like(hb.fc1_weight), np.zeros_like(hb.fc1_bias),
                                       np.zeros_like(hb.fc2_weight), bias))
-        mask = estimate_mask(rng.standard_normal((2, 3, 4)), MaskHeadWeights(tuple(bands)), LAYOUT)
+        mask = estimate_mask(rng.standard_normal((2, 3, 4)), tuple(bands), LAYOUT)
         for k, (start, end) in enumerate(LAYOUT.boundaries):
             assert np.allclose(mask[start:end].real, 10.0 + k)
             assert np.allclose(mask[start:end].imag, -(20.0 + k))
@@ -144,7 +144,7 @@ class TestMaskHead:
         w = _head_weights(rng, LAYOUT, 4, 8)
         mask = estimate_mask(feats, w, LAYOUT)
         for k, (start, end) in enumerate(LAYOUT.boundaries):
-            hb = w.bands[k]
+            hb = w[k]
             x = naive_layer_norm(feats[k], hb.norm_gamma, hb.norm_beta)
             hidden = np.tanh(naive_dense(x, hb.fc1_weight, hb.fc1_bias))
             y = naive_dense(hidden, hb.fc2_weight, hb.fc2_bias)

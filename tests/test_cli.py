@@ -198,6 +198,10 @@ class TestErrorsAndUsage:
                      "--seconds", "0"]) == EXIT_CONFIG
         assert "positive" in capsys.readouterr().err
 
+    def test_bench_rejects_nonpositive_runs(self, assets, capsys):
+        assert main(["bench", "--config", str(assets["config"]), "--runs", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: config: --runs")
+
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE
 

@@ -6,7 +6,8 @@ import pytest
 
 from bsrnnlite import ConfigError, LwrStrategy, SbpStrategy
 from bsrnnlite import canonical_config, preset_config, preset_names
-from bsrnnlite import config_from_dict, config_to_dict, load_config, save_config
+from bsrnnlite import load_config, save_config
+from bsrnnlite.configio import config_from_dict, config_to_dict
 
 from util import tiny_config, with_fields
 

@@ -10,15 +10,15 @@ from bsrnnlite import (
     LwrStrategy,
     SbpStrategy,
     analyze,
-    analyze_frames,
     build,
+    calibrate_feature_dims,
     canonical_chain,
     canonical_config,
     count_forward,
     gen_weights,
     reduction_table,
 )
-from bsrnnlite.macs import MacsTally, REFERENCE_GPS, component_order
+from bsrnnlite.macs import MacsTally, REFERENCE_GPS, analyze_frames, component_order
 
 from util import build_tiny, tiny_config
 
@@ -142,6 +142,10 @@ class TestCanonicalNumbers:
         sync = analyze(base.with_resample(LwrStrategy.sync(4))).total
         alt = analyze(base.with_resample(LwrStrategy.alternating(4))).total
         assert sync == alt
+
+    def test_default_calibration_recovers_canonical_dims(self):
+        best = calibrate_feature_dims()[0]
+        assert (best.feature_dim, best.hidden_dim) == (126, 72)
 
 
 class TestTable:

@@ -18,9 +18,9 @@ from bsrnnlite import (
     gen_weights,
     preset_config,
     preset_names,
-    weights_from_arrays,
 )
 from bsrnnlite.model import CANONICAL_FEATURE_DIM, CANONICAL_HIDDEN_DIM, canonical_config
+from bsrnnlite.model import weights_from_arrays
 from bsrnnlite.rnn import LstmWeights, dense, layer_norm, lstm_forward_batch
 
 from reference import straight_line_layer

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bsrnnlite import ConfigError, SbpStrategy, apply_pruned_time_rnn, prune_schedule
+from bsrnnlite import ConfigError, SbpStrategy, prune_schedule
+from bsrnnlite.prune import apply_pruned_time_rnn
 
 
 class TestSchedule:

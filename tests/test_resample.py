@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bsrnnlite import ConfigError, LwrStrategy
-from bsrnnlite import downsample_t, plan_resampling, pps_wrap, resampled_sublayer, upsample_t
-from bsrnnlite.resample import reduced_frames
+from bsrnnlite import plan_resampling
+from bsrnnlite.resample import downsample_t, pps_wrap, reduced_frames, resampled_sublayer, upsample_t
 
 
 class TestStride:

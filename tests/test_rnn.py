@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bsrnnlite import ConfigError, GroupedLayerWeights, LstmWeights
-from bsrnnlite import grouped_forward, lstm_forward, lstm_step, rearrange
+from bsrnnlite import ConfigError
 from bsrnnlite.macs import MacsTally
+from bsrnnlite.rnn import GroupedLayerWeights, LstmWeights
+from bsrnnlite.rnn import grouped_forward, lstm_forward, lstm_step, rearrange
 from bsrnnlite.rnn import dense, grouped_forward_batch, layer_norm, lstm_forward_batch
 
 from reference import naive_lstm_forward
@@ -192,12 +193,6 @@ class TestGrouped:
         seq = rng.standard_normal((4, 8))
         assert grouped_forward(seq, _grouped(rng, 2, 8, 6, 8, False)).shape == (4, 6)
         assert grouped_forward(seq, _grouped(rng, 2, 8, 6, 8, True)).shape == (4, 12)
-
-    def test_direction_flag_must_match_weights(self):
-        rng = np.random.default_rng(14)
-        w = _grouped(rng, 2, 8, 6, 8, bidirectional=False)
-        with pytest.raises(ConfigError):
-            grouped_forward(np.zeros((3, 8)), w, bidirectional=True)
 
     def test_grouped_macs_divide_by_group_count(self):
         # same total dims, half the gate cost per extra group

@@ -140,6 +140,25 @@ class TestContainer:
         with pytest.raises(WeightsFormatError, match="dtype"):
             load_weights(path)
 
+    @pytest.mark.parametrize("entry, what", [
+        ([2], "not an object"),
+        ({"dtype": "f32", "offset": 0}, "shape"),
+        ({"shape": [2], "dtype": "f32"}, "offset"),
+        ({"shape": "12", "dtype": "f32", "offset": 0}, "shape"),
+        ({"shape": [2, -1], "dtype": "f32", "offset": 0}, "shape"),
+        ({"shape": [True], "dtype": "f32", "offset": 0}, "shape"),
+        ({"shape": [2.0], "dtype": "f32", "offset": 0}, "shape"),
+        ({"shape": [2], "dtype": "f32", "offset": "0"}, "offset"),
+        ({"shape": [2], "dtype": "f32", "offset": -64}, "offset"),
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, entry, what):
+        path = tmp_path / "x.bsrw"
+        header = json.dumps({"tensors": {"w": entry}}).encode()
+        path.write_bytes(MAGIC + np.uint32(1).tobytes() + np.uint64(len(header)).tobytes()
+                         + header + b"\0" * 64)
+        with pytest.raises(WeightsFormatError, match=f"tensor w .*{what}"):
+            load_weights(path)
+
     def test_misaligned_offset_rejected(self, tmp_path):
         path = tmp_path / "x.bsrw"
         header = json.dumps(
