@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -130,8 +131,8 @@ def cmd_gen_weights(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.seconds <= 0:
-        raise ConfigError(f"--seconds must be positive, got {args.seconds}")
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        raise ConfigError(f"--seconds must be finite and positive, got {args.seconds}")
     if args.runs < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     config = configio.load_config(args.config)
@@ -268,6 +269,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except BsrnnLiteError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # last resort: the one-line contract holds for any fault
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -23,7 +23,10 @@ The document mirrors ModelConfig field by field:
     }
 
 Every field except "stft", "bands", "feature_dim", "hidden_dim", and
-"num_layers" may be omitted and takes the ModelConfig default.
+"num_layers" may be omitted and takes the ModelConfig default. Parsing is
+strict: an unknown key at any level is an error, and each field must have
+exactly the JSON type shown (``true``/``false`` for the two flags; integers,
+never booleans, for dims, factors, counts, layer lists and band bounds).
 """
 
 from __future__ import annotations
@@ -69,66 +72,66 @@ def config_to_dict(config: ModelConfig) -> dict:
     }
 
 
-def _require(doc: dict, key: str, kind, source: str):
-    if key not in doc:
-        raise ConfigError(f"{source}: missing required field {key!r}")
-    value = doc[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{source}: field {key!r} must be {kind.__name__}, got {value!r}")
+_TOP = {"name": str, "stft": dict, "bands": list, "feature_dim": int, "hidden_dim": int,
+        "num_layers": int, "group_size": int, "lwr": dict, "sbp": dict,
+        "time_rnn_causal": bool, "band_rnn_bidirectional": bool, "mask_hidden_ratio": int}
+_STFT = {"sample_rate": int, "fft_size": int, "hop_size": int, "window": str}
+_LWR = {"kind": str, "factor": int, "target_layers": list}
+_SBP = {"kind": str, "skip_bands": int}
+
+
+def _typed(value, kind, path: str, source: str):
+    """``value`` if it has exactly the JSON type ``kind`` (a bool is not an int)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{source}: field {path!r} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _fields(doc, spec: dict, required: tuple, path: str, source: str) -> dict:
+    """The typed fields of one JSON object; unknown or missing keys are errors."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: {path or 'top level'} must be an object")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in spec:
+            raise ConfigError(f"{source}: unknown field {prefix + key!r}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{source}: missing required field {prefix + key!r}")
+    return {key: _typed(value, spec[key], prefix + key, source) for key, value in doc.items()}
+
+
+def _int_list(values: list, path: str, source: str) -> tuple:
+    return tuple(_typed(v, int, f"{path}[{n}]", source) for n, v in enumerate(values))
 
 
 def config_from_dict(doc: dict, source: str = "<config>") -> ModelConfig:
     """Parse and validate a configuration document.
 
-    Raises ConfigError naming ``source`` and the offending field for any
-    structural problem; ModelConfig's own validation covers the rest.
+    Every object is checked for unknown keys and every field for its exact
+    JSON type; a ConfigError names ``source`` and the offending field path.
+    ModelConfig's own validation covers the values.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: top level must be an object")
-    stft_doc = _require(doc, "stft", dict, source)
-    stft = StftConfig(
-        sample_rate=_require(stft_doc, "sample_rate", int, f"{source}: stft"),
-        fft_size=_require(stft_doc, "fft_size", int, f"{source}: stft"),
-        hop_size=_require(stft_doc, "hop_size", int, f"{source}: stft"),
-        window=stft_doc.get("window", "hann"),
-    )
-    bands_doc = _require(doc, "bands", list, source)
-    try:
-        bounds = tuple((int(a), int(b)) for a, b in bands_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: bands must be [start, end] pairs: {exc}") from exc
-    bands = BandConfig(bounds)
-
-    lwr_doc = doc.get("lwr", {"kind": "none"})
-    if not isinstance(lwr_doc, dict) or "kind" not in lwr_doc:
-        raise ConfigError(f"{source}: lwr must be an object with a 'kind'")
-    targets = lwr_doc.get("target_layers")
+    top = _fields(doc, _TOP, ("stft", "bands", "feature_dim", "hidden_dim", "num_layers"),
+                  "", source)
+    stft = StftConfig(**_fields(top.pop("stft"), _STFT, ("sample_rate", "fft_size", "hop_size"),
+                                "stft", source))
+    bounds = []
+    for k, pair in enumerate(top.pop("bands")):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{source}: bands must be [start, end] pairs, got bands[{k}] = {pair!r}")
+        bounds.append(_int_list(pair, f"bands[{k}]", source))
+    lwr = _fields(top.pop("lwr", {"kind": "none"}), _LWR, ("kind",), "lwr", source)
+    targets = lwr.get("target_layers")
     resample = LwrStrategy(
-        kind=lwr_doc["kind"],
-        factor=lwr_doc.get("factor", 1),
-        target_layers=None if targets is None else tuple(int(t) for t in targets),
+        kind=lwr["kind"],
+        factor=lwr.get("factor", 1),
+        target_layers=None if targets is None else _int_list(targets, "lwr.target_layers", source),
     )
-    sbp_doc = doc.get("sbp", {"kind": "none"})
-    if not isinstance(sbp_doc, dict) or "kind" not in sbp_doc:
-        raise ConfigError(f"{source}: sbp must be an object with a 'kind'")
-    skip = sbp_doc.get("skip_bands")
-    prune = SbpStrategy(kind=sbp_doc["kind"], skip_bands=None if skip is None else int(skip))
-
-    return ModelConfig(
-        stft=stft,
-        bands=bands,
-        feature_dim=_require(doc, "feature_dim", int, source),
-        hidden_dim=_require(doc, "hidden_dim", int, source),
-        num_layers=_require(doc, "num_layers", int, source),
-        group_size=doc.get("group_size", 1),
-        resample=resample,
-        prune=prune,
-        time_rnn_causal=doc.get("time_rnn_causal", True),
-        band_rnn_bidirectional=doc.get("band_rnn_bidirectional", True),
-        mask_hidden_ratio=doc.get("mask_hidden_ratio", 4),
-        name=doc.get("name", ""),
-    )
+    sbp = _fields(top.pop("sbp", {"kind": "none"}), _SBP, ("kind",), "sbp", source)
+    prune = SbpStrategy(kind=sbp["kind"], skip_bands=sbp.get("skip_bands"))
+    return ModelConfig(stft=stft, bands=BandConfig(tuple(bounds)), resample=resample,
+                       prune=prune, **top)
 
 
 def load_config(spec: str | Path) -> ModelConfig:

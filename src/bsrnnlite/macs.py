@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,8 @@ def analyze_frames(config: ModelConfig, num_frames: int) -> dict:
 
 def analyze(config: ModelConfig, duration: float = 1.0) -> MacsReport:
     """Closed-form cost of enhancing ``duration`` seconds of audio."""
-    if duration <= 0:
-        raise ConfigError(f"duration must be positive, got {duration}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigError(f"duration must be finite and positive, got {duration}")
     num_samples = int(round(duration * config.stft.sample_rate))
     if num_samples < 1:
         raise ConfigError(f"duration {duration} shorter than one sample")
@@ -299,6 +300,8 @@ def calibrate_feature_dims(
     target_grouped) and returns the ``top`` best as CalibrationResult,
     best first. This is how the canonical dims were frozen.
     """
+    if group < 1 or top < 1:
+        raise ConfigError(f"group and top must be at least 1, got {group} and {top}")
     if step < 1 or dim_min < group or dim_max < dim_min:
         raise ConfigError(f"bad search grid [{dim_min}, {dim_max}] step {step}")
     template = canonical_config()

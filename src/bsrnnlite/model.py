@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import rnn
 from .bands import (
     BandConfig,
     BandProjection,
@@ -35,13 +36,7 @@ from .dsp import OaConfig, StftConfig, istft, observation_add, stft
 from .errors import ConfigError, WeightsFormatError
 from .prune import SbpStrategy, apply_pruned_time_rnn, prune_schedule
 from .resample import LwrStrategy, plan_resampling, pps_wrap, resampled_sublayer
-from .rnn import (
-    GroupedLayerWeights,
-    LstmWeights,
-    dense,
-    grouped_forward_batch,
-    layer_norm,
-)
+from .rnn import GroupedLayerWeights, LstmWeights, dense, layer_norm
 
 #: calibrated reference dims (see macs.calibrate_feature_dims)
 CANONICAL_FEATURE_DIM = 126
@@ -232,7 +227,9 @@ def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
     """Assemble structured weights from a flat name -> array mapping.
 
     Every expected tensor must be present with the expected shape; unknown
-    names are rejected. Arrays are upcast to float64 for computation.
+    names are rejected. Arrays are upcast to float64 for computation, and
+    each sublayer's cells are stacked in the layout's (group, direction)
+    order, the order the kernel expects.
     """
     expected = expected_tensors(config)
     for name in expected:
@@ -249,9 +246,9 @@ def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
         return a.astype(np.float64)
 
     def grouped(fields: dict) -> GroupedLayerWeights:
-        cells = [tuple(LstmWeights(**c) for c in d) for d in zip(*fields.pop("cells"))]
-        return GroupedLayerWeights(**fields, forward_cells=cells[0],
-                                   backward_cells=cells[1] if len(cells) == 2 else None)
+        cells = [cell for group in fields.pop("cells") for cell in group]
+        stacked = {key: np.stack([cell[key] for cell in cells]) for key in cells[0]}
+        return GroupedLayerWeights(**fields, cells=LstmWeights(**stacked))
 
     t = _map_leaves(_layout(config), take)
     return ModelWeights(
@@ -290,12 +287,13 @@ def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool, tally, compone
     """Sublayer core on [K' x T' x N]: norm -> grouped RNN -> dense.
 
     The band RNN runs its sequences across K, batched over T'; the time
-    RNN runs them across T', batched over K'.
+    RNN runs them across T', batched over K'. The kernel is looked up on
+    its module so a wrapper installed there sees every call.
     """
     xn = layer_norm(x, w.norm_gamma, w.norm_beta)
     if across_bands:
         xn = xn.transpose(1, 0, 2)
-    h = grouped_forward_batch(xn, w, tally, component)
+    h = rnn.lstm_forward_batch(xn, w.cells, tally, component)
     out = dense(h, w.proj_weight, w.proj_bias, tally, component)
     return out.transpose(1, 0, 2) if across_bands else out
 

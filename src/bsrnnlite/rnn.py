@@ -1,4 +1,4 @@
-"""Recurrent kernels: LSTM cells, grouped variants, channel rearrangement.
+"""Recurrent kernel: stacked LSTM cells and channel rearrangement.
 
 Also hosts the two small pointwise helpers (layer norm, dense projection)
 shared by the band-split and mask-head code, so every multiply-accumulate
@@ -8,6 +8,15 @@ the cost tally stays an exact mirror of the closed-form count.
 Gate order along the stacked 4H axis is (input, forget, cell, output).
 The network computes in float64; weight files store float32 and are
 upcast when a model is built.
+
+Stacked cell layout: all cells of one RNN sublayer, g groups of one or two
+directions, live in one :class:`LstmWeights` whose arrays carry a leading
+cell axis of length C = g * dirs in (group, direction) order. Cell
+``j * dirs + d`` reads input channels ``[j * I/g, (j + 1) * I/g)``, in
+forward time for d = 0 and in reverse time for d = 1. The kernel works
+out g from the input width (I / (I/g)) and dirs from C / g, runs every
+cell in one time loop, and emits the hidden states group-major
+(``[g0 fwd, g0 bwd, g1 fwd, ...]``) through :func:`rearrange`.
 """
 
 from __future__ import annotations
@@ -20,6 +29,12 @@ from scipy.special import expit
 from .errors import ConfigError
 
 LN_EPSILON = 1e-5
+
+#: rows (batch x steps) of each cell's input projection per block. It bounds
+#: the projection buffer whatever the sequence length. Blocks depend on the
+#: batch size only, so a multi-cell call projects the same rows together as
+#: one call per cell does, and the two agree bitwise.
+PROJECTION_ROWS = 512
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -46,10 +61,10 @@ def dense(x, weight, bias, tally=None, component: str | None = None):
 
 @dataclass(frozen=True)
 class LstmWeights:
-    """One direction of one LSTM: stacked gate matrices and bias.
+    """The stacked cells of one LSTM sublayer (see the module docstring).
 
-    ``w_input`` is ``[4H x I]``, ``w_hidden`` ``[4H x H]``, ``bias`` ``[4H]``,
-    with gates stacked (i, f, g, o).
+    ``w_input`` is ``[C x 4h x i]``, ``w_hidden`` ``[C x 4h x h]``, ``bias``
+    ``[C x 4h]``, with gates stacked (i, f, g, o) within each cell.
     """
 
     w_input: np.ndarray
@@ -57,23 +72,38 @@ class LstmWeights:
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        h = self.w_hidden.shape[1] if self.w_hidden.ndim == 2 else 0
-        if h < 1 or self.w_hidden.shape != (4 * h, h):
-            raise ConfigError(f"w_hidden must be [4H x H], got {self.w_hidden.shape}")
-        if self.w_input.ndim != 2 or self.w_input.shape[0] != 4 * h:
+        c, four_h, h = self.w_hidden.shape if self.w_hidden.ndim == 3 else (0, 0, 0)
+        if c < 1 or h < 1 or four_h != 4 * h:
+            raise ConfigError(f"w_hidden must be [C x 4H x H], got {self.w_hidden.shape}")
+        if self.w_input.ndim != 3 or self.w_input.shape[:2] != (c, 4 * h) or not self.w_input.shape[2]:
             raise ConfigError(
-                f"w_input must be [4H x I] with 4H={4 * h}, got {self.w_input.shape}"
+                f"w_input must be [C x 4H x I] with C={c}, 4H={4 * h}, got {self.w_input.shape}"
             )
-        if self.bias.shape != (4 * h,):
-            raise ConfigError(f"bias must be [4H]={4 * h}, got {self.bias.shape}")
+        if self.bias.shape != (c, 4 * h):
+            raise ConfigError(f"bias must be [C x 4H]=[{c} x {4 * h}], got {self.bias.shape}")
+
+    @property
+    def cell_count(self) -> int:
+        return self.w_hidden.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.w_input.shape[1]
+        return self.w_input.shape[2]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_hidden.shape[1]
+        return self.w_hidden.shape[2]
+
+
+def _cell_layout(width: int, cells: LstmWeights):
+    """``(groups, dirs)`` of ``cells`` on a ``width``-channel input."""
+    groups, rest = divmod(width, cells.input_dim)
+    if rest or not groups or cells.cell_count % groups or cells.cell_count // groups > 2:
+        raise ConfigError(
+            f"{cells.cell_count} cells of input dim {cells.input_dim} do not split "
+            f"{width} channels into groups of one or two directions"
+        )
+    return groups, cells.cell_count // groups
 
 
 def _gate_update(gates: np.ndarray, c: np.ndarray):
@@ -87,54 +117,50 @@ def _gate_update(gates: np.ndarray, c: np.ndarray):
     return o * np.tanh(c_next), c_next
 
 
-def lstm_step(x: np.ndarray, state, weights: LstmWeights):
-    """One cell update. ``state`` is ``(h, c)``; returns the next ``(h, c)``."""
-    h, c = state
-    gates = x[None, :] @ weights.w_input.T + h[None, :] @ weights.w_hidden.T + weights.bias
-    h_next, c_next = _gate_update(gates, c[None, :])
-    return h_next[0], c_next[0]
+def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, tally=None, component=None):
+    """Every cell of one sublayer over a batch of sequences, in one time loop.
 
-
-def lstm_forward_batch(seqs: np.ndarray, weights: LstmWeights, tally=None, component=None):
-    """Unidirectional LSTM over a batch of sequences.
-
-    ``seqs`` is ``[B x T x I]``; returns hidden states ``[B x T x H]`` from
-    zero initial state. Input projections for the whole batch are computed
-    up front; only the recurrent matmul runs per step.
+    ``seqs`` is ``[B x T x I]``; returns the rearranged hidden states
+    ``[B x T x C*h]`` from zero initial state. The input projection (bias
+    folded in) runs in blocks of :data:`PROJECTION_ROWS` rows ahead of the
+    steps that use it; only the recurrent matmul runs per step, one for all
+    cells.
     """
-    b, t, i = seqs.shape
-    h_dim = weights.hidden_dim
-    if i != weights.input_dim:
-        raise ConfigError(f"sequence feature dim {i} != weight input dim {weights.input_dim}")
-    out = np.empty((b, t, h_dim))
-    if t == 0:
-        return out
-    gates_x = (seqs.reshape(b * t, i) @ weights.w_input.T).reshape(b, t, 4 * h_dim)
+    b, t, width = seqs.shape
+    groups, dirs = _cell_layout(width, cells)
+    n, i, h = cells.cell_count, cells.input_dim, cells.hidden_dim
     if tally is not None:
-        tally.add(component, b * t * i * 4 * h_dim)
-        tally.add(component, b * t * h_dim * 4 * h_dim)
-    h = np.zeros((b, h_dim))
-    c = np.zeros((b, h_dim))
-    for step in range(t):
-        gates = gates_x[:, step] + h @ weights.w_hidden.T + weights.bias
-        h, c = _gate_update(gates, c)
-        out[:, step] = h
-    return out
+        tally.add(component, n * b * t * 4 * h * (i + h))
+    xs = seqs.reshape(b, t, groups, i)
+    w_input = cells.w_input.transpose(0, 2, 1)
+    w_hidden = cells.w_hidden.transpose(0, 2, 1)
+    bias = cells.bias[:, None]
+    # frames[d, s] is the frame that direction d reads at step s
+    frames = np.stack([np.arange(t), np.arange(t)[::-1]])[:dirs]
+    out = np.empty((b, t, groups, dirs, h))
+    state = np.zeros((n, b, h))
+    c = np.zeros((n, b, h))
+    block = max(1, PROJECTION_ROWS // max(b, 1))
+    for start in range(0, t, block):
+        idx = frames[:, start : start + block]
+        steps = idx.shape[1]
+        x = xs[:, idx].transpose(3, 1, 0, 2, 4).reshape(n, b * steps, i)
+        gates_x = x @ w_input
+        gates_x += bias
+        gates_x = gates_x.reshape(n, b, steps, 4 * h)
+        for s in range(steps):
+            state, c = _gate_update(gates_x[:, :, s] + state @ w_hidden, c)
+            by_dir = state.reshape(groups, dirs, b, h)
+            for d in range(dirs):
+                out[:, idx[d, s], :, d] = by_dir[:, d].swapaxes(0, 1)
+    return rearrange(out.reshape(b, t, n * h), groups)
 
 
-def lstm_forward(seq: np.ndarray, weights: LstmWeights, bidirectional: bool = False):
-    """LSTM over one sequence ``[T x I]``.
-
-    With ``bidirectional`` a second pass runs over the reversed sequence
-    (same weights) and is concatenated, giving ``[T x 2H]``.
-    """
+def lstm_forward(seq: np.ndarray, cells: LstmWeights):
+    """Single-sequence :func:`lstm_forward_batch`: ``[T x I]`` -> ``[T x C*h]``."""
     if seq.ndim != 2:
         raise ConfigError(f"sequence must be [T x I], got shape {seq.shape}")
-    fwd = lstm_forward_batch(seq[None], weights)[0]
-    if not bidirectional:
-        return fwd
-    bwd = lstm_forward_batch(seq[None, ::-1], weights)[0][::-1]
-    return np.concatenate([fwd, bwd], axis=-1)
+    return lstm_forward_batch(seq[None], cells)[0]
 
 
 def rearrange(x: np.ndarray, groups: int) -> np.ndarray:
@@ -153,91 +179,30 @@ def rearrange(x: np.ndarray, groups: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupedLayerWeights:
-    """One RNN sublayer: input norm, per-group cells, post-RNN projection.
+    """One RNN sublayer: input norm, stacked cells, post-RNN projection.
 
-    ``forward_cells`` (and ``backward_cells`` when the sublayer is
-    bidirectional) hold one LstmWeights per group with dims I/g -> H/g.
-    The projection maps the concatenated, rearranged hidden states
-    ``[dirs * H]`` back to the feature dim; it is never grouped.
+    ``cells`` holds every (group, direction) cell, each with dims
+    I/g -> H/g. The projection maps the rearranged hidden states
+    ``[C * H/g]`` back to the feature dim; it is never grouped.
     """
 
     norm_gamma: np.ndarray
     norm_beta: np.ndarray
-    forward_cells: tuple
-    backward_cells: tuple | None
+    cells: LstmWeights
     proj_weight: np.ndarray
     proj_bias: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.forward_cells:
-            raise ConfigError("at least one cell group required")
-        dims = {(c.input_dim, c.hidden_dim) for c in self.forward_cells}
-        if len(dims) != 1:
-            raise ConfigError(f"cell groups disagree on dims: {sorted(dims)}")
-        if self.backward_cells is not None:
-            if len(self.backward_cells) != len(self.forward_cells):
-                raise ConfigError("forward/backward group counts differ")
-            if {(c.input_dim, c.hidden_dim) for c in self.backward_cells} != dims:
-                raise ConfigError("forward/backward cell dims differ")
-        if self.norm_gamma.shape != (self.input_dim,) or self.norm_beta.shape != (self.input_dim,):
+        if self.norm_gamma.ndim != 1 or self.norm_beta.shape != self.norm_gamma.shape:
             raise ConfigError(
-                f"norm params must be [{self.input_dim}], got "
+                f"norm params must be two [I] vectors, got "
                 f"{self.norm_gamma.shape} / {self.norm_beta.shape}"
             )
-        dirs = 2 if self.backward_cells is not None else 1
-        expect = dirs * self.hidden_dim
+        _cell_layout(self.norm_gamma.shape[0], self.cells)
+        expect = self.cells.cell_count * self.cells.hidden_dim
         if self.proj_weight.ndim != 2 or self.proj_weight.shape[1] != expect:
             raise ConfigError(
                 f"projection must be [out x {expect}], got {self.proj_weight.shape}"
             )
         if self.proj_bias.shape != (self.proj_weight.shape[0],):
             raise ConfigError(f"projection bias shape {self.proj_bias.shape} mismatched")
-
-    @property
-    def group_count(self) -> int:
-        return len(self.forward_cells)
-
-    @property
-    def input_dim(self) -> int:
-        return self.forward_cells[0].input_dim * self.group_count
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.forward_cells[0].hidden_dim * self.group_count
-
-    @property
-    def bidirectional(self) -> bool:
-        return self.backward_cells is not None
-
-
-def grouped_forward_batch(seqs: np.ndarray, weights: GroupedLayerWeights, tally=None, component=None):
-    """Grouped (optionally bidirectional) RNN over ``[B x T x I]``.
-
-    The input channels are split into g contiguous slices, each processed by
-    its own cell pair, concatenated group-major ([g0 fwd, g0 bwd, g1 fwd, ...])
-    and rearranged. Returns ``[B x T x dirs * H]``; norm and projection are
-    the caller's job.
-    """
-    g = weights.group_count
-    if seqs.shape[-1] != weights.input_dim:
-        raise ConfigError(
-            f"feature dim {seqs.shape[-1]} != layer input dim {weights.input_dim}"
-        )
-    slice_dim = weights.input_dim // g
-    outs = []
-    for j in range(g):
-        xj = seqs[..., j * slice_dim : (j + 1) * slice_dim]
-        hj = lstm_forward_batch(xj, weights.forward_cells[j], tally, component)
-        if weights.bidirectional:
-            hb = lstm_forward_batch(xj[:, ::-1], weights.backward_cells[j], tally, component)[:, ::-1]
-            hj = np.concatenate([hj, hb], axis=-1)
-        outs.append(hj)
-    merged = outs[0] if g == 1 else np.concatenate(outs, axis=-1)
-    return rearrange(merged, g)
-
-
-def grouped_forward(seq: np.ndarray, weights: GroupedLayerWeights):
-    """Single-sequence :func:`grouped_forward_batch`; the weights set the direction count."""
-    if seq.ndim != 2:
-        raise ConfigError(f"sequence must be [T x I], got shape {seq.shape}")
-    return grouped_forward_batch(seq[None], weights)[0]

@@ -31,10 +31,11 @@ from bsrnnlite import (
 from bsrnnlite.cli import EXIT_OK, main
 from bsrnnlite.macs import analyze_frames
 from bsrnnlite.model import ModelConfig
-from bsrnnlite.rnn import LstmWeights, grouped_forward, lstm_forward, lstm_forward_batch, rearrange
+from bsrnnlite.rnn import LstmWeights, lstm_forward, lstm_forward_batch, rearrange
 
 import conftest
 from reference import naive_lstm_forward
+from util import one_cell
 
 
 def _verdict(num, ok, detail):
@@ -223,14 +224,15 @@ def test_c6_degenerate_toggles_match_baseline(canonical_model, two_second_noise)
     skip0 = build(cfg.with_prune(SbpStrategy.aggressive(0)), model.weights)
     skip0_bitwise = enhance(skip0, two_second_noise).tobytes() == base_out.tobytes()
 
-    # one-group grouped kernel against the plain LSTM route, real weights
-    gw = model.weights.band_layers[0]
+    # one-group, two-direction stacked kernel against one kernel call per
+    # cell, composed by hand, real weights
+    cells = model.weights.band_layers[0].cells
     rng = np.random.default_rng(5)
     x = rng.standard_normal((63, 126))
-    fwd = lstm_forward_batch(x[None], gw.forward_cells[0])[0]
-    bwd = lstm_forward_batch(x[::-1][None], gw.backward_cells[0])[0][::-1]
+    fwd = lstm_forward_batch(x[None], one_cell(cells, 0))[0]
+    bwd = lstm_forward_batch(x[::-1][None], one_cell(cells, 1))[0][::-1]
     plain = np.concatenate([fwd, bwd], axis=1)
-    g1_bitwise = grouped_forward(x, gw).tobytes() == plain.tobytes()
+    g1_bitwise = lstm_forward(x, cells).tobytes() == plain.tobytes()
 
     elapsed = time.perf_counter() - start
     _verdict(6, worst_rel <= 1e-6 and skip0_bitwise and g1_bitwise and elapsed < 60.0,
@@ -253,15 +255,14 @@ def test_c7_kernel_oracles():
         i_dim = int(rng.integers(1, 7))
         h_dim = int(rng.integers(1, 6))
         t = int(rng.integers(1, 8))
-        w = LstmWeights(
-            w_input=rng.standard_normal((4 * h_dim, i_dim)) * 0.4,
-            w_hidden=rng.standard_normal((4 * h_dim, h_dim)) * 0.4,
-            bias=rng.standard_normal(4 * h_dim) * 0.4,
-        )
+        w_input = rng.standard_normal((4 * h_dim, i_dim)) * 0.4
+        w_hidden = rng.standard_normal((4 * h_dim, h_dim)) * 0.4
+        bias = rng.standard_normal(4 * h_dim) * 0.4
         seq = rng.standard_normal((t, i_dim))
         bidi = bool(rng.integers(2))
-        got = lstm_forward(seq, w, bidirectional=bidi)
-        want = naive_lstm_forward(seq, w.w_input, w.w_hidden, w.bias, bidirectional=bidi)
+        cells = LstmWeights(*(np.stack([a] * (2 if bidi else 1)) for a in (w_input, w_hidden, bias)))
+        got = lstm_forward(seq, cells)
+        want = naive_lstm_forward(seq, w_input, w_hidden, bias, bidirectional=bidi)
         worst_lstm = max(worst_lstm, float(np.max(np.abs(got - want))))
     lstm_ok = worst_lstm <= 1e-6
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from bsrnnlite import save_config, wavio
+from bsrnnlite import cli, save_config, wavio
 from bsrnnlite.cli import (
     EXIT_AUDIO,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -201,6 +202,26 @@ class TestErrorsAndUsage:
     def test_bench_rejects_nonpositive_runs(self, assets, capsys):
         assert main(["bench", "--config", str(assets["config"]), "--runs", "0"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: config: --runs")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--config", "canonical-v1", "--duration", "nan"],
+        ["analyze", "--config", "canonical-v1", "--duration", "inf"],
+        ["bench", "--config", "canonical-v1", "--seconds", "nan"],
+        ["calibrate", "--top", "0"],
+        ["calibrate", "--group", "0"],
+    ], ids=" ".join)
+    def test_nonfinite_and_zero_flags_rejected(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: config:")
+
+    def test_unexpected_exception_is_internal(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        assert main(["analyze", "--config", "canonical-v1"]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: internal: RuntimeError: first line second line\n"
 
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -7,6 +7,7 @@ import pytest
 from bsrnnlite import ConfigError, LwrStrategy, SbpStrategy
 from bsrnnlite import canonical_config, preset_config, preset_names
 from bsrnnlite import load_config, save_config
+from bsrnnlite.cli import EXIT_CONFIG, main
 from bsrnnlite.configio import config_from_dict, config_to_dict
 
 from util import tiny_config, with_fields
@@ -121,3 +122,34 @@ class TestParsing:
         doc["feature_dim"] = 0
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+
+_STRICT_CASES = [
+    ("lrw", lambda d: d.update(lrw=d.pop("lwr"))),
+    ("stft.hopsize", lambda d: d["stft"].update(hopsize=256)),
+    ("lwr.factr", lambda d: d.update(lwr={"kind": "all", "factr": 2})),
+    ("sbp.skip", lambda d: d.update(sbp={"kind": "progressive", "skip": 1})),
+    ("time_rnn_causal", lambda d: d.update(time_rnn_causal="no")),
+    ("band_rnn_bidirectional", lambda d: d.update(band_rnn_bidirectional=1)),
+    ("group_size", lambda d: d.update(group_size="2")),
+    ("mask_hidden_ratio", lambda d: d.update(mask_hidden_ratio=True)),
+    ("feature_dim", lambda d: d.update(feature_dim=6.0)),
+    ("lwr.factor", lambda d: d.update(lwr={"kind": "all", "factor": True})),
+    ("lwr.target_layers[0]",
+     lambda d: d.update(lwr={"kind": "sync", "factor": 2, "target_layers": ["a"]})),
+    ("sbp.skip_bands", lambda d: d.update(sbp={"kind": "aggressive", "skip_bands": "1"})),
+    ("stft.sample_rate", lambda d: d["stft"].update(sample_rate=True)),
+    ("bands[1][0]", lambda d: d["bands"][1].__setitem__(0, 6.0)),
+]
+
+
+@pytest.mark.parametrize("path, edit", _STRICT_CASES, ids=[c[0] for c in _STRICT_CASES])
+def test_strict_parsing_names_the_field_and_exits_4(path, edit, tmp_path, capsys):
+    doc = config_to_dict(tiny_config())
+    edit(doc)
+    file = tmp_path / "c.json"
+    file.write_text(json.dumps(doc))
+    assert main(["analyze", "--config", str(file)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: config:")
+    assert f"'{path}'" in err

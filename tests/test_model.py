@@ -206,16 +206,16 @@ class TestToggleNeutrality:
         assert self._features_out(toggled, x) == self._features_out(base, x)
 
     def test_one_group_matches_plain_plumbing(self):
-        # rebuild the stack with direct kernel calls, no grouped machinery
+        # rebuild the stack with one kernel call per cell, composed by hand
         cfg, model = build_tiny(seed=7)
         arrays = gen_weights(cfg, seed=7)
         x = np.random.default_rng(8).standard_normal((3, 9, 6))
 
         def cell(prefix):
             return LstmWeights(
-                arrays[f"{prefix}.w_input"].astype(np.float64),
-                arrays[f"{prefix}.w_hidden"].astype(np.float64),
-                arrays[f"{prefix}.bias"].astype(np.float64),
+                arrays[f"{prefix}.w_input"][None].astype(np.float64),
+                arrays[f"{prefix}.w_hidden"][None].astype(np.float64),
+                arrays[f"{prefix}.bias"][None].astype(np.float64),
             )
 
         y = np.asarray(x, dtype=np.float64)

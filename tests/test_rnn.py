@@ -1,4 +1,4 @@
-"""LSTM kernels, grouping, rearrangement, and the shared pointwise helpers."""
+"""The stacked LSTM kernel, rearrangement, and the shared pointwise helpers."""
 
 import math
 
@@ -8,61 +8,74 @@ import pytest
 from bsrnnlite import ConfigError
 from bsrnnlite.macs import MacsTally
 from bsrnnlite.rnn import GroupedLayerWeights, LstmWeights
-from bsrnnlite.rnn import grouped_forward, lstm_forward, lstm_step, rearrange
-from bsrnnlite.rnn import dense, grouped_forward_batch, layer_norm, lstm_forward_batch
+from bsrnnlite.rnn import dense, layer_norm, lstm_forward, lstm_forward_batch, rearrange
 
 from reference import naive_lstm_forward
+from util import compose_by_hand, one_cell
 
 
-def _random_cell(rng, in_dim, hidden_dim):
+def _random_cell(rng, in_dim, hidden_dim, cells=1):
     return LstmWeights(
-        w_input=rng.uniform(-1, 1, (4 * hidden_dim, in_dim)),
-        w_hidden=rng.uniform(-1, 1, (4 * hidden_dim, hidden_dim)),
-        bias=rng.uniform(-1, 1, 4 * hidden_dim),
+        w_input=rng.uniform(-1, 1, (cells, 4 * hidden_dim, in_dim)),
+        w_hidden=rng.uniform(-1, 1, (cells, 4 * hidden_dim, hidden_dim)),
+        bias=rng.uniform(-1, 1, (cells, 4 * hidden_dim)),
     )
 
 
+def _twice(cell):
+    """A bidirectional stack running ``cell``'s weights both ways."""
+    return LstmWeights(*(np.concatenate([a, a]) for a in (cell.w_input, cell.w_hidden, cell.bias)))
+
+
+def _by_hand(seqs, cells):
+    return compose_by_hand(seqs, cells, lambda x, k: lstm_forward_batch(x, one_cell(cells, k)))
+
+
 class TestLstmStep:
+    """One recurrence step, seen through the kernel."""
+
     def test_unit_weights_hand_trace(self):
         # scalar cell, W = U = 1, b = 0, x = 1: every pre-activation is 1
-        w = LstmWeights(np.ones((4, 1)), np.ones((4, 1)), np.zeros(4))
-        h, c = lstm_step(np.array([1.0]), (np.zeros(1), np.zeros(1)), w)
+        w = LstmWeights(np.ones((1, 4, 1)), np.ones((1, 4, 1)), np.zeros((1, 4)))
+        h = lstm_forward(np.ones((2, 1)), w)[:, 0]
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         c1 = sig1 * math.tanh(1.0)
         h1 = sig1 * math.tanh(c1)
-        assert abs(c[0] - c1) < 1e-12
         assert abs(h[0] - h1) < 1e-12
         # second step folds the recurrent term in: pre-activations are 1 + h1
-        h2, c2 = lstm_step(np.array([1.0]), (h, c), w)
         pre = 1.0 + h1
         sig2 = 1.0 / (1.0 + math.exp(-pre))
         c_exp = sig2 * c1 + sig2 * math.tanh(pre)
-        assert abs(c2[0] - c_exp) < 1e-12
-        assert abs(h2[0] - sig2 * math.tanh(c_exp)) < 1e-12
+        assert abs(h[1] - sig2 * math.tanh(c_exp)) < 1e-12
 
     def test_zero_input_zero_bias_keeps_zero_state(self):
         rng = np.random.default_rng(0)
-        w = LstmWeights(rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, (8, 2)), np.zeros(8))
-        h, c = lstm_step(np.zeros(3), (np.zeros(2), np.zeros(2)), w)
-        assert not h.any() and not c.any()
+        w = LstmWeights(rng.uniform(-1, 1, (2, 8, 3)), rng.uniform(-1, 1, (2, 8, 2)), np.zeros((2, 8)))
+        assert not lstm_forward(np.zeros((4, 3)), w).any()
 
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
-            LstmWeights(np.zeros((8, 3)), np.zeros((8, 3)), np.zeros(8))
+            LstmWeights(np.zeros((1, 8, 3)), np.zeros((1, 8, 3)), np.zeros((1, 8)))
         with pytest.raises(ConfigError):
-            LstmWeights(np.zeros((12, 3)), np.zeros((8, 2)), np.zeros(8))
+            LstmWeights(np.zeros((1, 12, 3)), np.zeros((1, 8, 2)), np.zeros((1, 8)))
         with pytest.raises(ConfigError):
-            LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(4))
+            LstmWeights(np.zeros((1, 8, 3)), np.zeros((1, 8, 2)), np.zeros((1, 4)))
+        with pytest.raises(ConfigError):
+            LstmWeights(np.zeros((2, 8, 3)), np.zeros((1, 8, 2)), np.zeros((1, 8)))
+        with pytest.raises(ConfigError):  # unstacked arrays
+            LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
 
 
 class TestLstmForward:
     def test_single_step_equals_fold_base_case(self):
+        # from zero state: c = i * g and h = o * tanh(c)
         rng = np.random.default_rng(1)
         w = _random_cell(rng, 3, 4)
         x = rng.standard_normal((1, 3))
-        out = lstm_forward(x, w)
-        h, _ = lstm_step(x[0], (np.zeros(4), np.zeros(4)), w)
-        assert np.array_equal(out[0], h)
+        pre = w.w_input[0] @ x[0] + w.bias[0]
+        sig = 1.0 / (1.0 + np.exp(-pre))
+        c = sig[:4] * np.tanh(pre[8:12])
+        assert np.allclose(lstm_forward(x, w)[0], sig[12:] * np.tanh(c), atol=1e-12)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(2)
@@ -73,8 +86,8 @@ class TestLstmForward:
             w = _random_cell(rng, i, h)
             seq = rng.standard_normal((t, i))
             bidir = bool(rng.integers(0, 2))
-            got = lstm_forward(seq, w, bidirectional=bidir)
-            want = naive_lstm_forward(seq, w.w_input, w.w_hidden, w.bias, bidirectional=bidir)
+            got = lstm_forward(seq, _twice(w) if bidir else w)
+            want = naive_lstm_forward(seq, w.w_input[0], w.w_hidden[0], w.bias[0], bidirectional=bidir)
             assert np.max(np.abs(got - want)) < 1e-9
 
     def test_bidirectional_concatenates(self):
@@ -82,7 +95,7 @@ class TestLstmForward:
         w = _random_cell(rng, 2, 5)
         seq = rng.standard_normal((6, 2))
         uni = lstm_forward(seq, w)
-        bi = lstm_forward(seq, w, bidirectional=True)
+        bi = lstm_forward(seq, _twice(w))
         assert bi.shape == (6, 10)
         assert np.array_equal(bi[:, :5], uni)
 
@@ -112,6 +125,15 @@ class TestLstmForward:
         tally = MacsTally()
         lstm_forward_batch(np.zeros((2, 3, 4)), w, tally=tally, component="x")
         assert tally.counts == {"x": 2 * 3 * 4 * (4 * 5 + 5 * 5)}
+
+    def test_projection_blocks_do_not_change_the_result(self, monkeypatch):
+        # long sequences span several input-projection blocks
+        rng = np.random.default_rng(19)
+        w = _random_cell(rng, 2, 3, cells=4)
+        seqs = rng.standard_normal((3, 40, 4))
+        whole = lstm_forward_batch(seqs, w)
+        monkeypatch.setattr("bsrnnlite.rnn.PROJECTION_ROWS", 7)
+        assert np.allclose(lstm_forward_batch(seqs, w), whole, atol=1e-12)
 
 
 class TestRearrange:
@@ -151,29 +173,28 @@ def _grouped(rng, groups, in_dim, hidden_dim, out_dim, bidirectional):
     return GroupedLayerWeights(
         norm_gamma=np.ones(in_dim),
         norm_beta=np.zeros(in_dim),
-        forward_cells=tuple(_random_cell(rng, in_dim // groups, hidden_dim // groups)
-                            for _ in range(groups)),
-        backward_cells=tuple(_random_cell(rng, in_dim // groups, hidden_dim // groups)
-                             for _ in range(groups)) if bidirectional else None,
+        cells=_random_cell(rng, in_dim // groups, hidden_dim // groups, groups * dirs),
         proj_weight=rng.uniform(-1, 1, (out_dim, dirs * hidden_dim)),
         proj_bias=rng.uniform(-1, 1, out_dim),
     )
 
 
 class TestGrouped:
+    """A multi-cell call equals per-cell calls of the same kernel, composed by hand."""
+
     def test_one_group_bitwise_equals_plain(self):
         rng = np.random.default_rng(10)
         w = _grouped(rng, 1, 6, 4, 6, bidirectional=False)
-        seq = rng.standard_normal((9, 6))
-        assert np.array_equal(grouped_forward(seq, w), lstm_forward(seq, w.forward_cells[0]))
+        seqs = rng.standard_normal((2, 9, 6))
+        assert np.array_equal(lstm_forward_batch(seqs, w.cells), _by_hand(seqs, w.cells))
 
     def test_one_group_bidirectional_bitwise(self):
         rng = np.random.default_rng(11)
-        cell = _random_cell(rng, 6, 4)
-        w = GroupedLayerWeights(np.ones(6), np.zeros(6), (cell,), (cell,),
-                                np.zeros((6, 8)), np.zeros(6))
+        cells = _random_cell(rng, 6, 4, cells=2)
         seq = rng.standard_normal((5, 6))
-        assert np.array_equal(grouped_forward(seq, w), lstm_forward(seq, cell, bidirectional=True))
+        fwd = lstm_forward(seq, one_cell(cells, 0))
+        bwd = lstm_forward(seq[::-1], one_cell(cells, 1))[::-1]
+        assert np.array_equal(lstm_forward(seq, cells), np.concatenate([fwd, bwd], axis=-1))
 
     def test_two_groups_match_manual_split(self):
         rng = np.random.default_rng(12)
@@ -182,39 +203,55 @@ class TestGrouped:
         parts = []
         for j in range(2):
             xj = seq[:, 4 * j : 4 * j + 4]
-            fwd = lstm_forward(xj, w.forward_cells[j])
-            bwd = lstm_forward(xj[::-1], w.backward_cells[j])[::-1]
+            fwd = lstm_forward(xj, one_cell(w.cells, 2 * j))
+            bwd = lstm_forward(xj[::-1], one_cell(w.cells, 2 * j + 1))[::-1]
             parts.append(np.concatenate([fwd, bwd], axis=-1))
         manual = rearrange(np.concatenate(parts, axis=-1), 2)
-        assert np.array_equal(grouped_forward(seq, w), manual)
+        assert np.array_equal(lstm_forward(seq, w.cells), manual)
+
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    @pytest.mark.parametrize("dirs", [1, 2])
+    def test_every_layout_matches_naive_and_per_cell_calls(self, groups, dirs):
+        rng = np.random.default_rng(20 + 3 * groups + dirs)
+        i, h, t = (int(v) for v in rng.integers(1, [5, 5, 8]))
+        cells = _random_cell(rng, i, h, groups * dirs)
+        seqs = rng.standard_normal((3, t, i * groups))
+        got = lstm_forward_batch(seqs, cells)
+        assert np.array_equal(got, _by_hand(seqs, cells))
+
+        def naive(x, k):
+            return np.stack([naive_lstm_forward(seq, cells.w_input[k], cells.w_hidden[k],
+                                                cells.bias[k]) for seq in x])
+
+        assert np.max(np.abs(got - compose_by_hand(seqs, cells, naive))) <= 1e-9
 
     def test_output_width_is_dirs_times_hidden(self):
         rng = np.random.default_rng(13)
         seq = rng.standard_normal((4, 8))
-        assert grouped_forward(seq, _grouped(rng, 2, 8, 6, 8, False)).shape == (4, 6)
-        assert grouped_forward(seq, _grouped(rng, 2, 8, 6, 8, True)).shape == (4, 12)
+        assert lstm_forward(seq, _grouped(rng, 2, 8, 6, 8, False).cells).shape == (4, 6)
+        assert lstm_forward(seq, _grouped(rng, 2, 8, 6, 8, True).cells).shape == (4, 12)
 
     def test_grouped_macs_divide_by_group_count(self):
         # same total dims, half the gate cost per extra group
         rng = np.random.default_rng(15)
         seqs = np.zeros((3, 5, 8))
         t1, t2 = MacsTally(), MacsTally()
-        grouped_forward_batch(seqs, _grouped(rng, 1, 8, 6, 8, False), t1, "m")
-        grouped_forward_batch(seqs, _grouped(rng, 2, 8, 6, 8, False), t2, "m")
+        lstm_forward_batch(seqs, _grouped(rng, 1, 8, 6, 8, False).cells, t1, "m")
+        lstm_forward_batch(seqs, _grouped(rng, 2, 8, 6, 8, False).cells, t2, "m")
         assert t1.counts["m"] == 2 * t2.counts["m"]
 
     def test_structure_validation(self):
         rng = np.random.default_rng(16)
-        good = _random_cell(rng, 4, 3)
-        with pytest.raises(ConfigError):
-            GroupedLayerWeights(np.ones(8), np.zeros(8), (good, _random_cell(rng, 4, 2)),
-                                None, np.zeros((8, 6)), np.zeros(8))
-        with pytest.raises(ConfigError):
-            GroupedLayerWeights(np.ones(8), np.zeros(8), (good, good), (good,),
-                                np.zeros((8, 6)), np.zeros(8))
-        with pytest.raises(ConfigError):
-            GroupedLayerWeights(np.ones(3), np.zeros(3), (good,), None,
-                                np.zeros((8, 3)), np.zeros(8))
+        good = _random_cell(rng, 4, 3, cells=2)
+        with pytest.raises(ConfigError):  # 3 cells cannot split into 2 groups
+            GroupedLayerWeights(np.ones(8), np.zeros(8), _random_cell(rng, 4, 3, cells=3),
+                                np.zeros((8, 9)), np.zeros(8))
+        with pytest.raises(ConfigError):  # input width not a multiple of the cell's
+            GroupedLayerWeights(np.ones(6), np.zeros(6), good, np.zeros((8, 6)), np.zeros(8))
+        with pytest.raises(ConfigError):  # projection reads C * h channels
+            GroupedLayerWeights(np.ones(8), np.zeros(8), good, np.zeros((8, 3)), np.zeros(8))
+        with pytest.raises(ConfigError):  # one group of four directions
+            lstm_forward(np.zeros((3, 4)), _random_cell(rng, 4, 3, cells=4))
 
 
 class TestPointwise:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 
 from bsrnnlite import ModelConfig, StftConfig, BandConfig, build, gen_weights
+from bsrnnlite.rnn import LstmWeights, rearrange
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -36,3 +37,27 @@ def random_band_layout(rng: np.random.Generator, num_bins: int, max_bands: int =
     cuts = sorted(rng.choice(np.arange(1, num_bins), size=k - 1, replace=False).tolist())
     edges = [0] + cuts + [num_bins]
     return BandConfig(tuple((edges[i], edges[i + 1]) for i in range(k)))
+
+
+def one_cell(cells: LstmWeights, k: int) -> LstmWeights:
+    """Cell ``k`` of a stack, as a stack of one."""
+    return LstmWeights(cells.w_input[k : k + 1], cells.w_hidden[k : k + 1], cells.bias[k : k + 1])
+
+
+def compose_by_hand(seqs, cells: LstmWeights, run_cell):
+    """A stacked-cell LSTM call rebuilt from one run per cell.
+
+    ``run_cell(x, k)`` runs cell ``k`` forward in time over ``x`` [B x T x I/g].
+    Each cell gets its group's input slice, backward cells get it reversed
+    (and their output reversed back), and the outputs are concatenated
+    group-major and rearranged: the layout the kernel documents.
+    """
+    width = cells.input_dim
+    groups = seqs.shape[-1] // width
+    dirs = cells.cell_count // groups
+    parts = []
+    for k in range(cells.cell_count):
+        group, backward = divmod(k, dirs)
+        x = seqs[:, :, group * width : (group + 1) * width]
+        parts.append(run_cell(x[:, ::-1], k)[:, ::-1] if backward else run_cell(x, k))
+    return rearrange(np.concatenate(parts, axis=-1), groups)
