@@ -1,9 +1,11 @@
 """Where the multiply-accumulates go, counted two independent ways.
 
 analyze() prices each component from the configuration alone (closed
-form). count_forward() runs the real kernels with a tally attached to
-every matmul site. The two totals agreeing integer for integer is the
-correctness argument for the whole cost model.
+form). count_forward() runs the real forward pass and prices what
+executed: the arrays each sublayer core computed on, reported through
+forward_features's probe, against the sizes of the weights loaded. The
+two totals agreeing integer for integer is the correctness argument for
+the whole cost model.
 """
 
 import numpy as np

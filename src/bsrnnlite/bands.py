@@ -101,8 +101,7 @@ class MaskBandHead:
     fc2_bias: np.ndarray
 
 
-def band_split(spec: np.ndarray, weights: tuple, config: BandConfig,
-               tally=None) -> np.ndarray:
+def band_split(spec: np.ndarray, weights: tuple, config: BandConfig) -> np.ndarray:
     """Encode a spectrogram ``[F x T]`` into ``[K x T x N]``; one BandProjection per band."""
     spec = np.asarray(spec)
     if spec.ndim != 2:
@@ -120,12 +119,11 @@ def band_split(spec: np.ndarray, weights: tuple, config: BandConfig,
         sub = spec[start:end]
         x = np.concatenate([sub.real, sub.imag], axis=0).T.astype(np.float64)
         x = layer_norm(x, bw.norm_gamma, bw.norm_beta)
-        out[k] = dense(x, bw.weight, bw.bias, tally, "band_split")
+        out[k] = dense(x, bw.weight, bw.bias)
     return out
 
 
-def estimate_mask(features: np.ndarray, weights: tuple, config: BandConfig,
-                  tally=None) -> np.ndarray:
+def estimate_mask(features: np.ndarray, weights: tuple, config: BandConfig) -> np.ndarray:
     """Decode ``[K x T x N]`` into a complex mask ``[F x T]``; one MaskBandHead per band."""
     features = np.asarray(features)
     if features.ndim != 3 or features.shape[0] != config.num_bands:
@@ -141,8 +139,8 @@ def estimate_mask(features: np.ndarray, weights: tuple, config: BandConfig,
     for k, (start, end) in enumerate(config.boundaries):
         hw = weights[k]
         x = layer_norm(features[k], hw.norm_gamma, hw.norm_beta)
-        hidden = np.tanh(dense(x, hw.fc1_weight, hw.fc1_bias, tally, "mask_head"))
-        y = dense(hidden, hw.fc2_weight, hw.fc2_bias, tally, "mask_head")
+        hidden = np.tanh(dense(x, hw.fc1_weight, hw.fc1_bias))
+        y = dense(hidden, hw.fc2_weight, hw.fc2_bias)
         width = end - start
         mask[start:end] = (y[:, :width] + 1j * y[:, width:]).T
     return mask

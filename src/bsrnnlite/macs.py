@@ -4,9 +4,9 @@ Two independent routes produce the same numbers:
 
 * :func:`analyze` / :func:`analyze_frames` evaluate a closed-form count
   from the configuration alone;
-* :func:`count_forward` runs the real forward pass with a tally attached
-  to the two kernel call sites (LSTM matmuls, dense projections) and sums
-  what actually executed.
+* :func:`count_forward` runs the real forward pass and prices what
+  executed: the arrays the sublayer cores computed on, reported through
+  ``forward_features``'s probe, against the weights actually loaded.
 
 The defining property, enforced by the test suite, is that the two agree
 integer-exactly for any configuration. Keep them independent; never make
@@ -33,16 +33,6 @@ from .errors import ConfigError
 from .model import Model, ModelConfig, canonical_config, forward_features
 from .prune import SbpStrategy, prune_schedule
 from .resample import LwrStrategy, plan_resampling, reduced_frames
-
-
-class MacsTally:
-    """Mutable per-component MAC counter passed into kernel call sites."""
-
-    def __init__(self) -> None:
-        self.counts: dict = {}
-
-    def add(self, component: str, macs: int) -> None:
-        self.counts[component] = self.counts.get(component, 0) + int(macs)
 
 
 @dataclass(frozen=True)
@@ -133,39 +123,46 @@ def analyze(config: ModelConfig, duration: float = 1.0) -> MacsReport:
 
 
 def count_forward(model: Model, x: np.ndarray) -> MacsReport:
-    """Run the forward pass and tally every multiply-accumulate executed.
+    """Run the forward pass and price every multiply-accumulate executed.
 
     ``x`` is either a mono waveform (the full pipeline runs, including the
-    untallied transforms) or a ``[K x T x N]`` feature tensor. In feature
-    mode the band-split stage did not literally run on anything, so the
-    kernel is executed on a zero spectrogram of the matching [F x T] shape;
-    counts depend on shapes only, which keeps the report comparable with
-    :func:`analyze` in both modes.
+    unpriced transforms) or a ``[K x T x N]`` feature tensor, in which case
+    the band split is priced for the T frames it would have produced.
+
+    A row costs each weight matrix it runs through once. A sublayer core
+    costs rows x the sizes of its cells' ``w_input`` and ``w_hidden`` and its
+    ``proj_weight``, the rows read from the array its ``*_core`` probe stage
+    reports; the band split and the mask head cost T x the sizes of their
+    dense weights.
     """
-    cfg = model.config
-    tally = MacsTally()
+    cfg, w = model.config, model.weights
     x = np.asarray(x)
     if x.ndim == 1:
         spec = stft(x, cfg.stft)
-        feats = band_split(spec, model.weights.band_split, cfg.bands, tally=tally)
-        feats = forward_features(model, feats, tally=tally)
-        mask = estimate_mask(feats, model.weights.mask_head, cfg.bands, tally=tally)
-        istft(apply_mask(spec, mask), cfg.stft, x.size)
+        feats = band_split(spec, w.band_split, cfg.bands)
         duration = x.size / cfg.stft.sample_rate
     elif x.ndim == 3:
-        t = x.shape[1]
-        zero_spec = np.zeros((cfg.stft.frequency_bins, t), dtype=np.complex64)
-        band_split(zero_spec, model.weights.band_split, cfg.bands, tally=tally)
-        feats = forward_features(model, x, tally=tally)
-        estimate_mask(feats, model.weights.mask_head, cfg.bands, tally=tally)
-        duration = t * cfg.stft.hop_size / cfg.stft.sample_rate
+        feats = x
+        duration = x.shape[1] * cfg.stft.hop_size / cfg.stft.sample_rate
     else:
         raise ConfigError(f"input must be a waveform or [K x T x N] features, got shape {x.shape}")
 
-    leftover = set(tally.counts) - set(component_order(cfg))
-    if leftover:
-        raise ConfigError(f"tally recorded unknown components: {sorted(leftover)}")
-    comps = {name: tally.counts.get(name, 0) for name in component_order(cfg)}
+    comps = dict.fromkeys(component_order(cfg), 0)
+    comps["band_split"] = feats.shape[1] * sum(b.weight.size for b in w.band_split)
+
+    def probe(stage, layer, array):
+        if stage in ("band_core", "time_core"):
+            sub = (w.band_layers if stage == "band_core" else w.time_layers)[layer - 1]
+            rows = array.size // array.shape[-1]
+            comps[f"{stage[:4]}_rnn[{layer}]"] += rows * (
+                sub.cells.w_input.size + sub.cells.w_hidden.size + sub.proj_weight.size)
+
+    feats = forward_features(model, feats, probe=probe)
+    mask = estimate_mask(feats, w.mask_head, cfg.bands)
+    comps["mask_head"] = feats.shape[1] * sum(
+        h.fc1_weight.size + h.fc2_weight.size for h in w.mask_head)
+    if x.ndim == 1:
+        istft(apply_mask(spec, mask), cfg.stft, x.size)
     return MacsReport(comps, duration)
 
 

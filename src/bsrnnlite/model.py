@@ -283,7 +283,7 @@ def build(config: ModelConfig, weights) -> Model:
     return Model(config, weights, plan, counts)
 
 
-def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool, tally, component):
+def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool):
     """Sublayer core on [K' x T' x N]: norm -> grouped RNN -> dense.
 
     The band RNN runs its sequences across K, batched over T'; the time
@@ -293,26 +293,32 @@ def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool, tally, compone
     xn = layer_norm(x, w.norm_gamma, w.norm_beta)
     if across_bands:
         xn = xn.transpose(1, 0, 2)
-    h = rnn.lstm_forward_batch(xn, w.cells, tally, component)
-    out = dense(h, w.proj_weight, w.proj_bias, tally, component)
+    out = dense(rnn.lstm_forward_batch(xn, w.cells), w.proj_weight, w.proj_bias)
     return out.transpose(1, 0, 2) if across_bands else out
 
 
-def forward_features(model: Model, features: np.ndarray, tally=None, probe=None) -> np.ndarray:
-    """Run the dual-path layer stack on ``[K x T x N]`` features.
+def forward_features(model: Model, features: np.ndarray, *, probe=None) -> np.ndarray:
+    """Run the dual-path layer stack on ``[K x T x N]`` features, T >= 1.
 
     ``probe``, when given, is called as ``probe(stage, layer, array)`` with
-    stages ``band_in/band_out/time_in/time_out`` around each sublayer and
-    ``time_active`` with the slice of bands about to enter the time RNN.
-    Output shape always equals the input shape, whatever the resampling
-    and pruning plans do internally.
+    six stages per layer, in this order: ``band_in``, ``band_core``,
+    ``band_out``, ``time_in``, ``time_core``, ``time_out``. The ``*_in`` and
+    ``*_out`` arrays surround a sublayer; ``*_core`` is exactly the array
+    its core computes on, after LWR downsampling and (time RNN) SBP
+    pruning. Output shape always equals the input shape, whatever the
+    resampling and pruning plans do internally.
     """
     cfg = model.config
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] != cfg.num_bands or x.shape[2] != cfg.feature_dim:
+    if x.ndim != 3 or x.shape[::2] != (cfg.num_bands, cfg.feature_dim) or not x.shape[1]:
         raise ConfigError(
-            f"features must be [{cfg.num_bands} x T x {cfg.feature_dim}], got {x.shape}"
+            f"features must be [{cfg.num_bands} x T x {cfg.feature_dim}] with T >= 1, got {x.shape}"
         )
+
+    def emit(stage, layer, array):
+        if probe is not None:
+            probe(stage, layer, array)
+        return array
 
     def run_stack(y):
         for idx in range(cfg.num_layers):
@@ -320,34 +326,25 @@ def forward_features(model: Model, features: np.ndarray, tally=None, probe=None)
             lp = model.resample_plan.layers[idx]
             bw = model.weights.band_layers[idx]
             tw = model.weights.time_layers[idx]
-            comp_b = f"band_rnn[{layer}]"
-            comp_t = f"time_rnn[{layer}]"
 
-            if probe is not None:
-                probe("band_in", layer, y)
+            emit("band_in", layer, y)
             y = resampled_sublayer(
                 y,
-                lambda z: _sublayer_core(z, bw, True, tally, comp_b),
+                lambda z: _sublayer_core(emit("band_core", layer, z), bw, True),
                 lp.factor if lp.band_resampled else 1,
             )
-            if probe is not None:
-                probe("band_out", layer, y)
-
-            skip = model.prune_counts[idx]
-            if probe is not None:
-                probe("time_in", layer, y)
-                probe("time_active", layer, y[: y.shape[0] - skip])
+            emit("band_out", layer, y)
+            emit("time_in", layer, y)
             y = apply_pruned_time_rnn(
                 y,
                 lambda z: resampled_sublayer(
                     z,
-                    lambda q: _sublayer_core(q, tw, False, tally, comp_t),
+                    lambda q: _sublayer_core(emit("time_core", layer, q), tw, False),
                     lp.factor if lp.time_resampled else 1,
                 ),
-                skip,
+                model.prune_counts[idx],
             )
-            if probe is not None:
-                probe("time_out", layer, y)
+            emit("time_out", layer, y)
         return y
 
     if model.resample_plan.pps_factor > 1:

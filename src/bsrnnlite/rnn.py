@@ -1,9 +1,9 @@
 """Recurrent kernel: stacked LSTM cells and channel rearrangement.
 
-Also hosts the two small pointwise helpers (layer norm, dense projection)
-shared by the band-split and mask-head code, so every multiply-accumulate
-in the network goes through one of exactly two call sites per kernel and
-the cost tally stays an exact mirror of the closed-form count.
+Also hosts the two small helpers (layer norm, dense projection) shared by
+the sublayers, the band split and the mask head. Every multiply-accumulate
+in the network is a matmul against a loaded weight matrix, once per row,
+which is how :func:`bsrnnlite.macs.count_forward` prices it.
 
 Gate order along the stacked 4H axis is (input, forget, cell, output).
 The network computes in float64; weight files store float32 and are
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 
@@ -40,22 +39,18 @@ PROJECTION_ROWS = 512
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize over the last axis, then apply the affine (gamma, beta)."""
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = np.square(x - mu).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + LN_EPSILON) * gamma + beta
+    out = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(out).mean(axis=-1, keepdims=True)
+    out /= np.sqrt(var + LN_EPSILON)
+    out *= gamma
+    out += beta
+    return out
 
 
-def dense(x, weight, bias, tally=None, component: str | None = None):
-    """Affine map on the last axis: ``x @ weight.T + bias``.
-
-    ``weight`` is ``[out_dim x in_dim]``. When a tally is given, records
-    rows * in_dim * out_dim multiply-accumulates against ``component``
-    (bias adds are free by convention).
-    """
-    out = x @ weight.T + bias
-    if tally is not None:
-        rows = x.size // x.shape[-1]
-        tally.add(component, rows * weight.shape[0] * weight.shape[1])
+def dense(x, weight, bias):
+    """Affine map on the last axis: ``x @ weight.T + bias``, ``weight`` ``[out x in]``."""
+    out = x @ weight.T
+    out += bias
     return out
 
 
@@ -106,18 +101,26 @@ def _cell_layout(width: int, cells: LstmWeights):
     return groups, cells.cell_count // groups
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function as ``0.5 * tanh(x / 2) + 0.5``, cheaper than exp-based forms."""
+    y = np.tanh(0.5 * x)
+    y *= 0.5
+    y += 0.5
+    return y
+
+
 def _gate_update(gates: np.ndarray, c: np.ndarray):
     """Apply the activations and state update to pre-activation gates [..., 4H]."""
     h_dim = c.shape[-1]
-    i = expit(gates[..., :h_dim])
-    f = expit(gates[..., h_dim : 2 * h_dim])
+    i = _sigmoid(gates[..., :h_dim])
+    f = _sigmoid(gates[..., h_dim : 2 * h_dim])
     g = np.tanh(gates[..., 2 * h_dim : 3 * h_dim])
-    o = expit(gates[..., 3 * h_dim :])
+    o = _sigmoid(gates[..., 3 * h_dim :])
     c_next = f * c + i * g
     return o * np.tanh(c_next), c_next
 
 
-def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, tally=None, component=None):
+def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights):
     """Every cell of one sublayer over a batch of sequences, in one time loop.
 
     ``seqs`` is ``[B x T x I]``; returns the rearranged hidden states
@@ -129,8 +132,6 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, tally=None, compone
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
     n, i, h = cells.cell_count, cells.input_dim, cells.hidden_dim
-    if tally is not None:
-        tally.add(component, n * b * t * 4 * h * (i + h))
     xs = seqs.reshape(b, t, groups, i)
     w_input = cells.w_input.transpose(0, 2, 1)
     w_hidden = cells.w_hidden.transpose(0, 2, 1)

@@ -114,7 +114,7 @@ def two_second_noise():
 
 
 def test_c1_macs_counter_agreement():
-    """Closed-form analysis equals the instrumented forward tally, integer
+    """Closed-form analysis equals the priced forward pass, integer
     for integer, on 27 fuzzed configurations covering every strategy."""
     start = time.perf_counter()
     duration = 0.2

@@ -6,7 +6,6 @@ import pytest
 from bsrnnlite import BandConfig, ConfigError
 from bsrnnlite import apply_mask, band_split, estimate_mask
 from bsrnnlite.bands import BandProjection, MaskBandHead, canonical_bands
-from bsrnnlite.macs import MacsTally
 
 from reference import naive_dense, naive_layer_norm
 
@@ -107,12 +106,6 @@ class TestBandSplit:
         with pytest.raises(ConfigError):
             band_split(np.zeros((9, 4), dtype=np.complex64), _split_weights(rng, LAYOUT, 4), LAYOUT)
 
-    def test_tally(self):
-        rng = np.random.default_rng(4)
-        tally = MacsTally()
-        band_split(np.zeros((5, 7), dtype=np.complex64), _split_weights(rng, LAYOUT, 4), LAYOUT, tally)
-        assert tally.counts == {"band_split": 7 * 4 * 4 + 7 * 6 * 4}
-
 
 class TestMaskHead:
     def test_mask_shape_and_dtype(self):
@@ -151,13 +144,6 @@ class TestMaskHead:
             width = end - start
             want = (y[:, :width] + 1j * y[:, width:]).T
             assert np.max(np.abs(mask[start:end] - want)) < 1e-6
-
-    def test_tally(self):
-        rng = np.random.default_rng(8)
-        tally = MacsTally()
-        estimate_mask(np.zeros((2, 7, 4)), _head_weights(rng, LAYOUT, 4, 8), LAYOUT, tally)
-        fc1 = 7 * 8 * 4
-        assert tally.counts == {"mask_head": 2 * fc1 + 7 * 4 * 8 + 7 * 6 * 8}
 
 
 class TestApplyMask:

@@ -18,7 +18,7 @@ from bsrnnlite import (
     gen_weights,
     reduction_table,
 )
-from bsrnnlite.macs import MacsTally, REFERENCE_GPS, analyze_frames, component_order
+from bsrnnlite.macs import REFERENCE_GPS, analyze_frames, component_order
 
 from util import build_tiny, tiny_config
 
@@ -116,12 +116,45 @@ class TestCounterAgreement:
         feats = np.random.default_rng(3).standard_normal((3, 4, 6))
         assert count_forward(model, feats).components == analyze_frames(cfg, 4)
 
-    def test_tally_accumulates(self):
-        tally = MacsTally()
-        tally.add("a", 3)
-        tally.add("a", 4)
-        tally.add("b", 1)
-        assert tally.counts == {"a": 7, "b": 1}
+    def test_zero_frames_rejected(self):
+        _, model = build_tiny()
+        with pytest.raises(ConfigError):
+            count_forward(model, np.zeros((3, 0, 6)))
+
+    def test_hand_priced_components(self, monkeypatch):
+        # tiny: K=3 bands of widths 6, 6, 5 (2w = 12, 12, 10), N=6, H=4,
+        # mask hidden 24, two layers, T=7 feature frames. A row costs each
+        # weight matrix it passes through once.
+        split = 7 * 6 * (12 + 12 + 10)                     # T x sum(N x 2w)
+        head = 7 * (3 * 24 * 6 + 24 * (12 + 12 + 10))      # T x sum(24 x N + 2w x 24)
+        # per row: w_input + w_hidden + proj_weight sizes
+        band_g1 = 2 * 16 * 6 + 2 * 16 * 4 + 6 * 8           # 2 cells, I=6, h=4
+        time_g1 = 16 * 6 + 16 * 4 + 6 * 4                   # 1 cell
+        band_g2 = 4 * 8 * 3 + 4 * 8 * 2 + 6 * 8             # 4 cells, I=3, h=2
+        time_g2 = 2 * 8 * 3 + 2 * 8 * 2 + 6 * 4             # 2 cells
+        full, half = 3 * 7, 3 * 4                           # rows: K x T, K x ceil(T/2)
+        cases = [
+            ({}, [band_g1 * full, time_g1 * full] * 2),
+            ({"group_size": 2}, [band_g2 * full, time_g2 * full] * 2),
+            # async: layer 1 resamples the time RNN, layer 2 the band RNN
+            ({"resample": LwrStrategy.alternating(2)},
+             [band_g1 * full, time_g1 * half, band_g1 * half, time_g1 * full]),
+            # progressive: layer l skips l of the 3 bands in the time RNN
+            ({"prune": SbpStrategy.progressive()},
+             [band_g1 * full, time_g1 * 2 * 7, band_g1 * full, time_g1 * 1 * 7]),
+        ]
+
+        def no_band_split(*args, **kwargs):
+            raise AssertionError("feature mode must not run band_split")
+
+        monkeypatch.setattr("bsrnnlite.macs.band_split", no_band_split)
+        feats = np.random.default_rng(4).standard_normal((3, 7, 6))
+        for overrides, stack in cases:
+            cfg, model = build_tiny(**overrides)
+            got = count_forward(model, feats).components
+            assert list(got) == list(component_order(cfg))
+            assert list(got.values()) == [split, *stack, head], overrides
+            assert got == analyze_frames(cfg, 7)
 
 
 class TestCanonicalNumbers:

@@ -141,6 +141,11 @@ class TestForward:
         with pytest.raises(ConfigError):
             forward_features(model, np.zeros((2, 5, 6)))
 
+    def test_zero_frames_rejected(self):
+        _, model = build_tiny()
+        with pytest.raises(ConfigError, match="T >= 1"):
+            forward_features(model, np.zeros((3, 0, 6)))
+
     def test_single_layer_matches_straight_line_reference(self):
         cfg = tiny_config(bands=BandConfig(((0, 9), (9, 17))), feature_dim=2,
                           hidden_dim=2, num_layers=1)
@@ -178,10 +183,12 @@ class TestForward:
                          probe=lambda stage, layer, arr: events.append((stage, layer, arr.shape[0])))
         stages = [(s, l) for s, l, _ in events]
         assert stages == [
-            ("band_in", 1), ("band_out", 1), ("time_in", 1), ("time_active", 1), ("time_out", 1),
-            ("band_in", 2), ("band_out", 2), ("time_in", 2), ("time_active", 2), ("time_out", 2),
+            ("band_in", 1), ("band_core", 1), ("band_out", 1),
+            ("time_in", 1), ("time_core", 1), ("time_out", 1),
+            ("band_in", 2), ("band_core", 2), ("band_out", 2),
+            ("time_in", 2), ("time_core", 2), ("time_out", 2),
         ]
-        active = {l: k for s, l, k in events if s == "time_active"}
+        active = {l: k for s, l, k in events if s == "time_core"}
         assert active == {1: 2, 2: 2}
 
 

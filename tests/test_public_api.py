@@ -1,7 +1,10 @@
 """The top-level API matches what the README and the demos import."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bsrnnlite
@@ -30,3 +33,11 @@ def test_documented_imports_are_exported():
 def test_every_exported_name_resolves():
     assert len(set(bsrnnlite.__all__)) == len(bsrnnlite.__all__)
     assert [name for name in bsrnnlite.__all__ if not hasattr(bsrnnlite, name)] == []
+
+
+def test_import_loads_no_scipy_special():
+    # the kernels need numpy only; scipy.special alone took most of the cold import
+    env = dict(os.environ, PYTHONPATH=str(Path(bsrnnlite.__file__).resolve().parent.parent))
+    code = "import sys, bsrnnlite; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

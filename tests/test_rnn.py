@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bsrnnlite import ConfigError
-from bsrnnlite.macs import MacsTally
 from bsrnnlite.rnn import GroupedLayerWeights, LstmWeights
 from bsrnnlite.rnn import dense, layer_norm, lstm_forward, lstm_forward_batch, rearrange
 
@@ -120,12 +119,6 @@ class TestLstmForward:
         w = _random_cell(np.random.default_rng(6), 3, 4)
         assert lstm_forward(np.zeros((0, 3)), w).shape == (0, 4)
 
-    def test_tally_counts_gate_macs(self):
-        w = _random_cell(np.random.default_rng(7), 4, 5)
-        tally = MacsTally()
-        lstm_forward_batch(np.zeros((2, 3, 4)), w, tally=tally, component="x")
-        assert tally.counts == {"x": 2 * 3 * 4 * (4 * 5 + 5 * 5)}
-
     def test_projection_blocks_do_not_change_the_result(self, monkeypatch):
         # long sequences span several input-projection blocks
         rng = np.random.default_rng(19)
@@ -231,15 +224,6 @@ class TestGrouped:
         assert lstm_forward(seq, _grouped(rng, 2, 8, 6, 8, False).cells).shape == (4, 6)
         assert lstm_forward(seq, _grouped(rng, 2, 8, 6, 8, True).cells).shape == (4, 12)
 
-    def test_grouped_macs_divide_by_group_count(self):
-        # same total dims, half the gate cost per extra group
-        rng = np.random.default_rng(15)
-        seqs = np.zeros((3, 5, 8))
-        t1, t2 = MacsTally(), MacsTally()
-        lstm_forward_batch(seqs, _grouped(rng, 1, 8, 6, 8, False).cells, t1, "m")
-        lstm_forward_batch(seqs, _grouped(rng, 2, 8, 6, 8, False).cells, t2, "m")
-        assert t1.counts["m"] == 2 * t2.counts["m"]
-
     def test_structure_validation(self):
         rng = np.random.default_rng(16)
         good = _random_cell(rng, 4, 3, cells=2)
@@ -272,7 +256,5 @@ class TestPointwise:
         x = rng.standard_normal((3, 4, 5))
         w = rng.standard_normal((7, 5))
         b = rng.standard_normal(7)
-        tally = MacsTally()
-        out = dense(x, w, b, tally, "d")
+        out = dense(x, w, b)
         assert np.allclose(out, np.einsum("bti,oi->bto", x, w) + b, atol=1e-12)
-        assert tally.counts == {"d": 3 * 4 * 5 * 7}
