@@ -14,9 +14,9 @@ from bsrnnlite.resample import downsample_t, reduced_frames, upsample_t
 def describe(label, strategy, num_layers=6):
     plan = plan_resampling(strategy, num_layers)
     marks = []
-    for i, layer in enumerate(plan.layers, start=1):
-        b = "B" if layer.band_resampled else "-"
-        t = "T" if layer.time_resampled else "-"
+    for i, (band_factor, time_factor) in enumerate(plan.layers, start=1):
+        b = "B" if band_factor > 1 else "-"
+        t = "T" if time_factor > 1 else "-"
         marks.append(f"{i}:{b}{t}")
     wrap = f" pps x{plan.pps_factor}" if plan.pps_factor > 1 else ""
     print(f"  {label:<14} {' '.join(marks)}{wrap}")

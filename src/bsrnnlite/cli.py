@@ -26,7 +26,7 @@ import numpy as np
 
 from . import configio, macs, wavio, weights_io
 from .dsp import OaConfig
-from .errors import AudioFormatError, BsrnnLiteError, ConfigError, WeightsFormatError
+from .errors import AudioFormatError, ConfigError, WeightsFormatError
 from .model import build, preset_names
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ EXIT_USAGE = 64
 def _load_model(config_spec: str, weights_path: str):
     config = configio.load_config(config_spec)
     arrays, _meta = weights_io.load_weights(weights_path)
-    return config, build(config, arrays)
+    return build(config, arrays)
 
 
 def _enhance_one(model, src: Path, dst: Path, oa: OaConfig | None) -> None:
@@ -56,7 +56,7 @@ def _enhance_one(model, src: Path, dst: Path, oa: OaConfig | None) -> None:
 
 
 def cmd_enhance(args) -> int:
-    config, model = _load_model(args.config, args.weights)
+    model = _load_model(args.config, args.weights)
     oa = None if args.oa is None else OaConfig(args.oa)
     src = Path(args.input)
     dst = Path(args.output)
@@ -267,9 +267,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except BsrnnLiteError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # last resort: the one-line contract holds for any fault
         message = " ".join(str(exc).split())
         print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)

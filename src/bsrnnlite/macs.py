@@ -30,9 +30,10 @@ import numpy as np
 from .bands import apply_mask, band_split, estimate_mask
 from .dsp import istft, stft
 from .errors import ConfigError
-from .model import Model, ModelConfig, canonical_config, forward_features
-from .prune import SbpStrategy, prune_schedule
-from .resample import LwrStrategy, plan_resampling, reduced_frames
+from .model import (Model, ModelConfig, canonical_config, forward_features, preset_config,
+                    preset_names)
+from .prune import SbpStrategy
+from .resample import LwrStrategy, reduced_frames
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ def analyze_frames(config: ModelConfig, num_frames: int) -> dict:
 
     All quantities are exact integers. The band-split and mask head always
     run at the full frame rate; the layer stack rate is reduced by a PPS
-    factor; individual sublayer cores are further reduced per the
-    resampling plan, and the time RNN sees only the unpruned bands.
+    factor; individual sublayer cores are further reduced by their factors
+    in ``config.plan``, and the time RNN sees only the unpruned bands.
     """
     if num_frames < 1:
         raise ConfigError(f"num_frames must be >= 1, got {num_frames}")
@@ -88,21 +89,16 @@ def analyze_frames(config: ModelConfig, num_frames: int) -> dict:
     widths = config.bands.widths
     band_dirs = 2 if config.band_rnn_bidirectional else 1
     time_dirs = 1 if config.time_rnn_causal else 2
-    plan = plan_resampling(config.resample, config.num_layers)
-    skips = prune_schedule(config.prune, config.num_layers, k)
-    t_stack = reduced_frames(t, plan.pps_factor)
+    pps_factor, rows = config.plan
+    t_stack = reduced_frames(t, pps_factor)
 
     comps: dict = {"band_split": sum(t * n * 2 * w for w in widths)}
-    for idx in range(config.num_layers):
-        layer = idx + 1
-        lp = plan.layers[idx]
-        tau_b = reduced_frames(t_stack, lp.factor) if lp.band_resampled else t_stack
-        pos_b = tau_b * k
+    for layer, (band_factor, time_factor, skip) in enumerate(rows, start=1):
+        pos_b = reduced_frames(t_stack, band_factor) * k
         comps[f"band_rnn[{layer}]"] = (
             band_dirs * g * pos_b * cell + pos_b * n * (band_dirs * h)
         )
-        tau_t = reduced_frames(t_stack, lp.factor) if lp.time_resampled else t_stack
-        pos_t = (k - skips[idx]) * tau_t
+        pos_t = (k - skip) * reduced_frames(t_stack, time_factor)
         comps[f"time_rnn[{layer}]"] = (
             time_dirs * g * pos_t * cell + pos_t * n * (time_dirs * h)
         )
@@ -183,37 +179,33 @@ REFERENCE_GPS = {
 }
 
 
+#: the chain label of each preset, in ``preset_names()`` order
+_CHAIN_LABELS = ("BSRNN", "+GR", "+LWR-ASYNC(16)", "++SBP-P", "+++GR")
+
+
 def canonical_chain(extended: bool = False):
     """The canonical baseline and its optimization variants.
 
-    Returns ``(base_config, [(label, config), ...])``. Rows are not
+    Returns ``(base_config, [(label, config), ...])``. The non-extended
+    chain is the five presets under their chain labels. Rows are not
     cumulative left to right: every LWR row modifies the ungrouped
     baseline, the SBP rows build on LWR-ASYNC(16), and only the final
     row adds grouping on top of everything.
     """
-    base = canonical_config().with_groups(1, "BSRNN")
-    lwr16 = base.with_resample(LwrStrategy.alternating(16), "+LWR-ASYNC(16)")
-    sbpp = lwr16.with_prune(SbpStrategy.progressive(), "++SBP-P")
-    grouped = ("+GR", base.with_groups(2, "+GR"))
-    tail = [
-        ("+LWR-ASYNC(16)", lwr16),
-        ("++SBP-P", sbpp),
-        ("+++GR", sbpp.with_groups(2, "+++GR")),
-    ]
+    base, *presets = [dataclasses.replace(preset_config(preset), name=label)
+                      for preset, label in zip(preset_names(), _CHAIN_LABELS, strict=True)]
+    rows = [(cfg.name, cfg) for cfg in presets]
     if not extended:
-        return base, [grouped] + tail
-    variants = [
-        grouped,
-        ("+LWR-PPS(4)", base.with_resample(LwrStrategy.pps(4), "+LWR-PPS(4)")),
-        ("+LWR-ALL(4)", base.with_resample(LwrStrategy.all_layers(4), "+LWR-ALL(4)")),
-        ("+LWR-SYNC(4)", base.with_resample(LwrStrategy.sync(4), "+LWR-SYNC(4)")),
-        ("+LWR-ASYNC(4)", base.with_resample(LwrStrategy.alternating(4), "+LWR-ASYNC(4)")),
-        tail[0],
-        ("++SBP-A", lwr16.with_prune(SbpStrategy.aggressive(), "++SBP-A")),
-        tail[1],
-        tail[2],
-    ]
-    return base, variants
+        return base, rows
+    grouped, lwr16, sbpp, full = rows
+    lwr = [(label, base.with_resample(strategy, label)) for label, strategy in (
+        ("+LWR-PPS(4)", LwrStrategy.pps(4)),
+        ("+LWR-ALL(4)", LwrStrategy.all_layers(4)),
+        ("+LWR-SYNC(4)", LwrStrategy.sync(4)),
+        ("+LWR-ASYNC(4)", LwrStrategy.alternating(4)),
+    )]
+    sbpa = ("++SBP-A", lwr16[1].with_prune(SbpStrategy.aggressive(), "++SBP-A"))
+    return base, [grouped, *lwr, lwr16, sbpa, sbpp, full]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,13 @@ CANONICAL_NUM_LAYERS = 6
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Complete, validated description of one model variant."""
+    """Complete, validated description of one model variant.
+
+    ``plan`` (derived, not compared) is ``(pps_factor, rows)`` with one
+    ``(band_factor, time_factor, skip_bands)`` row per layer: the frame-rate
+    divisor of each sublayer core (1 = full rate) and the top bands that
+    bypass the time RNN, resolved once from ``resample`` and ``prune``.
+    """
 
     stft: StftConfig
     bands: BandConfig
@@ -60,6 +66,7 @@ class ModelConfig:
     band_rnn_bidirectional: bool = True
     mask_hidden_ratio: int = 4
     name: str = ""
+    plan: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.feature_dim < 1 or self.hidden_dim < 1:
@@ -79,9 +86,10 @@ class ModelConfig:
         if self.mask_hidden_ratio < 1:
             raise ConfigError(f"mask_hidden_ratio must be >= 1, got {self.mask_hidden_ratio}")
         self.bands.validate_for_bins(self.stft.frequency_bins)
-        # resolving both plans validates strategy/layer-count compatibility
-        plan_resampling(self.resample, self.num_layers)
-        prune_schedule(self.prune, self.num_layers, self.bands.num_bands)
+        lwr = plan_resampling(self.resample, self.num_layers)
+        skips = prune_schedule(self.prune, self.num_layers, self.bands.num_bands)
+        rows = tuple(factors + (skip,) for factors, skip in zip(lwr.layers, skips))
+        object.__setattr__(self, "plan", (lwr.pps_factor, rows))
 
     @property
     def num_bands(self) -> int:
@@ -120,20 +128,17 @@ def canonical_config() -> ModelConfig:
     )
 
 
-_PRESETS = {
-    "canonical-v1": lambda: canonical_config(),
-    "canonical-v1-gr": lambda: canonical_config().with_groups(2, "canonical-v1-gr"),
-    "canonical-v1-lwr16": lambda: canonical_config().with_resample(
-        LwrStrategy.alternating(16), "canonical-v1-lwr16"
-    ),
-    "canonical-v1-lwr16-sbpp": lambda: canonical_config()
-    .with_resample(LwrStrategy.alternating(16))
-    .with_prune(SbpStrategy.progressive(), "canonical-v1-lwr16-sbpp"),
-    "canonical-v1-full": lambda: canonical_config()
-    .with_resample(LwrStrategy.alternating(16))
-    .with_prune(SbpStrategy.progressive())
-    .with_groups(2, "canonical-v1-full"),
-}
+def _presets() -> dict:
+    """The named reference variants, in the order of ``macs.canonical_chain``."""
+    base = canonical_config()
+    lwr16 = base.with_resample(LwrStrategy.alternating(16), "canonical-v1-lwr16")
+    sbpp = lwr16.with_prune(SbpStrategy.progressive(), "canonical-v1-lwr16-sbpp")
+    presets = (base, base.with_groups(2, "canonical-v1-gr"), lwr16, sbpp,
+               sbpp.with_groups(2, "canonical-v1-full"))
+    return {cfg.name: cfg for cfg in presets}
+
+
+_PRESETS = _presets()
 
 
 def preset_names() -> tuple:
@@ -142,7 +147,7 @@ def preset_names() -> tuple:
 
 def preset_config(name: str) -> ModelConfig:
     try:
-        return _PRESETS[name]()
+        return _PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(_PRESETS)}"
@@ -226,10 +231,10 @@ class ModelWeights:
 def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
     """Assemble structured weights from a flat name -> array mapping.
 
-    Every expected tensor must be present with the expected shape; unknown
-    names are rejected. Arrays are upcast to float64 for computation, and
-    each sublayer's cells are stacked in the layout's (group, direction)
-    order, the order the kernel expects.
+    Every expected tensor must be present with the expected shape and
+    finite values; unknown names are rejected. Arrays are upcast to float64
+    for computation, and each sublayer's cells are stacked in the layout's
+    (group, direction) order, the order the kernel expects.
     """
     expected = expected_tensors(config)
     for name in expected:
@@ -243,7 +248,10 @@ def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
         a = np.asarray(arrays[name])
         if a.shape != shape:
             raise WeightsFormatError(f"tensor {name} has shape {a.shape}, expected {shape}")
-        return a.astype(np.float64)
+        a = a.astype(np.float64)
+        if not np.isfinite(a).all():
+            raise WeightsFormatError(f"tensor {name} holds non-finite values")
+        return a
 
     def grouped(fields: dict) -> GroupedLayerWeights:
         cells = [cell for group in fields.pop("cells") for cell in group]
@@ -261,12 +269,13 @@ def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable handle pairing a config with assembled weights and plans."""
+    """Immutable handle pairing a config with weights assembled for it.
+
+    The forward pass reads its per-layer decisions from ``config.plan``.
+    """
 
     config: ModelConfig
     weights: ModelWeights
-    resample_plan: tuple
-    prune_counts: tuple
 
 
 def build(config: ModelConfig, weights) -> Model:
@@ -278,9 +287,7 @@ def build(config: ModelConfig, weights) -> Model:
             f"weights carry {len(weights.band_layers)}/{len(weights.time_layers)} "
             f"band/time layers, config wants {config.num_layers}"
         )
-    plan = plan_resampling(config.resample, config.num_layers)
-    counts = prune_schedule(config.prune, config.num_layers, config.num_bands)
-    return Model(config, weights, plan, counts)
+    return Model(config, weights)
 
 
 def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool):
@@ -320,18 +327,17 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None) -> np.nd
             probe(stage, layer, array)
         return array
 
-    def run_stack(y):
-        for idx in range(cfg.num_layers):
-            layer = idx + 1
-            lp = model.resample_plan.layers[idx]
-            bw = model.weights.band_layers[idx]
-            tw = model.weights.time_layers[idx]
+    pps_factor, rows = cfg.plan
+    w = model.weights
 
+    def run_stack(y):
+        layers = zip(rows, w.band_layers, w.time_layers, strict=True)
+        for layer, ((band_factor, time_factor, skip), bw, tw) in enumerate(layers, start=1):
             emit("band_in", layer, y)
             y = resampled_sublayer(
                 y,
                 lambda z: _sublayer_core(emit("band_core", layer, z), bw, True),
-                lp.factor if lp.band_resampled else 1,
+                band_factor,
             )
             emit("band_out", layer, y)
             emit("time_in", layer, y)
@@ -340,15 +346,15 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None) -> np.nd
                 lambda z: resampled_sublayer(
                     z,
                     lambda q: _sublayer_core(emit("time_core", layer, q), tw, False),
-                    lp.factor if lp.time_resampled else 1,
+                    time_factor,
                 ),
-                model.prune_counts[idx],
+                skip,
             )
             emit("time_out", layer, y)
         return y
 
-    if model.resample_plan.pps_factor > 1:
-        return pps_wrap(x, model.resample_plan.pps_factor, run_stack)
+    if pps_factor > 1:
+        return pps_wrap(x, pps_factor, run_stack)
     return run_stack(x)
 
 

@@ -14,6 +14,9 @@ Strategies:
                 (default: the odd 1-based layers).
     async       alternating: odd layers resample the time RNN, even
                 layers the band RNN.
+
+:func:`plan_resampling` turns a strategy into one rate divisor per
+sublayer core (1 = full rate); ``ModelConfig.plan`` holds the result.
 """
 
 from __future__ import annotations
@@ -73,30 +76,21 @@ class LwrStrategy:
 
 
 @dataclass(frozen=True)
-class LayerPlan:
-    """Per-layer resolved flags: which sublayer cores run reduced."""
-
-    band_resampled: bool
-    time_resampled: bool
-    factor: int
-
-
-@dataclass(frozen=True)
 class ResamplePlan:
-    """Strategy resolved against a concrete layer count."""
+    """Strategy resolved against a concrete layer count: the stack's rate
+    divisor and one ``(band_factor, time_factor)`` pair per layer."""
 
     pps_factor: int
     layers: tuple
 
 
 def plan_resampling(strategy: LwrStrategy, num_layers: int) -> ResamplePlan:
-    """Resolve a strategy into per-layer flags (layer labels are 1-based)."""
+    """Resolve a strategy into per-layer factors (layer labels are 1-based)."""
     if num_layers < 0:
         raise ConfigError(f"num_layers must be >= 0, got {num_layers}")
     s = strategy.factor
     if strategy.kind == "pps":
-        layers = tuple(LayerPlan(False, False, 1) for _ in range(num_layers))
-        return ResamplePlan(s, layers)
+        return ResamplePlan(s, ((1, 1),) * num_layers)
     if strategy.kind == "none":
         flags = [(False, False)] * num_layers
     elif strategy.kind == "all":
@@ -112,7 +106,7 @@ def plan_resampling(strategy: LwrStrategy, num_layers: int) -> ResamplePlan:
         flags = [(l in chosen, l in chosen) for l in range(1, num_layers + 1)]
     else:  # async: time RNN first, then band, alternating
         flags = [(l % 2 == 0, l % 2 == 1) for l in range(1, num_layers + 1)]
-    return ResamplePlan(1, tuple(LayerPlan(b, t, s) for b, t in flags))
+    return ResamplePlan(1, tuple((s if b else 1, s if t else 1) for b, t in flags))
 
 
 def reduced_frames(num_frames: int, factor: int) -> int:

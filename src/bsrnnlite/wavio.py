@@ -7,6 +7,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +28,27 @@ def read_wav(path: str | Path):
         (samples, sample_rate, source_format): float32 samples in [-1, 1)
         for PCM input, the file's sample rate, and ``"pcm16"`` or
         ``"float32"`` so callers can write output in the same format.
+
+    A file that does not parse, including one whose data chunk is shorter
+    than its header says, raises AudioFormatError; OSError passes through.
     """
+    # Memory-mapping makes a short data chunk fail instead of reading short.
+    # Warnings about chunks the reader skips are benign and kept off stderr.
     try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path, mmap=True)
+    except OSError:
         raise
-    except (ValueError, EOFError) as exc:
-        raise AudioFormatError(f"cannot parse wav file {path}: {exc}") from exc
+    except Exception as exc:  # the reader fails malformed input in many types
+        raise AudioFormatError(
+            f"cannot parse wav file {path}: {type(exc).__name__}: {exc}") from exc
     if data.ndim != 1:
         raise AudioFormatError(f"mono required, got {data.shape[1]} channels")
     if data.dtype == np.int16:
         return data.astype(np.float32) / np.float32(_PCM_SCALE), int(rate), PCM16
     if data.dtype == np.float32:
-        return data, int(rate), FLOAT32
+        return np.array(data), int(rate), FLOAT32
     raise AudioFormatError(
         f"unsupported sample format {data.dtype}; 16-bit PCM or float32 required"
     )

@@ -66,7 +66,7 @@ def gen_weights(config: ModelConfig, seed: int = 0) -> dict:
     out = {}
     cursor = 0
     for name, shape in expected_tensors(config).items():
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         out[name] = _uniform_block(seed, cursor, count).reshape(shape)
         cursor += count
     return out

@@ -24,3 +24,13 @@ def test_subband_pruning_leaves_skipped_bands_untouched():
     lines = _run_demo("04_subband_pruning.py").splitlines()
     assert sum(line.endswith("untouched = True") for line in lines) == 6
     assert not any(line.endswith("untouched = False") for line in lines)
+
+
+def test_resampling_strategies_mark_the_reduced_cores():
+    lines = _run_demo("03_resampling_strategies.py").splitlines()
+    assert [line for line in lines if line.startswith("  ") and " 1:" in line] == [
+        "  pps(4)         1:-- 2:-- 3:-- 4:-- 5:-- 6:-- pps x4",
+        "  all(4)         1:BT 2:BT 3:BT 4:BT 5:BT 6:BT",
+        "  sync(4)        1:BT 2:-- 3:BT 4:-- 5:BT 6:--",
+        "  async(4)       1:-T 2:B- 3:-T 4:B- 5:-T 6:B-",
+    ]

@@ -1,0 +1,177 @@
+"""Property tests: malformed inputs end as one documented diagnostic.
+
+A valid config document, weights file and wav file are mutated and fed to
+the command line. Whatever the mutation, the exit code is one the CLI
+documents for that input, and stderr is either empty (exit 0) or exactly
+one ``error: <category>: <message>`` line whose category matches the
+code. Every warning counts as shown on stderr, so a warning breaks the
+one-line rule.
+"""
+
+import contextlib
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from bsrnnlite import LwrStrategy, SbpStrategy, cli, gen_weights, save_weights, wavio
+from bsrnnlite.configio import config_to_dict
+from bsrnnlite.weights_io import ALIGNMENT
+
+from util import tiny_config
+
+CATEGORY = {cli.EXIT_AUDIO: "audio", cli.EXIT_WEIGHTS: "weights", cli.EXIT_CONFIG: "config"}
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+CONFIG = tiny_config(resample=LwrStrategy.sync(2, target_layers=(1,)),
+                     prune=SbpStrategy.aggressive(1))
+CONFIG_DOC = config_to_dict(CONFIG)
+WEIGHTS = gen_weights(CONFIG, seed=0)
+WAV_HEADER = 44  # RIFF, fmt and data chunk headers of a plain pcm16 file
+
+
+def _paths(doc, prefix=()):
+    """Every key path into ``doc``, plus one new key per object."""
+    if isinstance(doc, dict):
+        yield prefix + ("extra",)
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40)
+    | st.floats(-40, 40, allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced, added or deleted."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        if isinstance(node, dict):
+            node.pop(last, None)
+        else:
+            del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _edited(raw: bytes, edits, cut) -> bytes:
+    data = bytearray(raw)
+    for pos, byte in edits:
+        data[pos] = byte
+    return bytes(data if cut is None else data[:cut])
+
+
+def _run(argv):
+    """Exit code and stderr of one CLI call, every warning shown on stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    shown = (warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, err.getvalue() + "".join(shown)
+
+
+def _assert_contract(code, stderr, allowed):
+    assert code in allowed, stderr
+    lines = stderr.splitlines()
+    if code == cli.EXIT_OK:
+        assert lines == []
+    else:
+        assert len(lines) == 1, stderr
+        assert lines[0].startswith(f"error: {CATEGORY[code]}: "), stderr
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    (root / "config.json").write_text(json.dumps(CONFIG_DOC))
+    save_weights(root / "weights.bsrw", WEIGHTS)
+    noise = np.random.default_rng(5).standard_normal(400).astype(np.float32) * 0.1
+    wavio.write_wav(root / "noisy.wav", noise, CONFIG.stft.sample_rate, wavio.PCM16)
+    return root
+
+
+def _enhance(root, weights="weights.bsrw", wav="noisy.wav"):
+    return _run(["enhance", "--config", str(root / "config.json"),
+                 "--weights", str(root / weights), "--in", str(root / wav),
+                 "--out", str(root / "out.wav")])
+
+
+def test_valid_inputs_enhance(files):
+    _assert_contract(*_enhance(files), {cli.EXIT_OK})
+
+
+@PROPERTY
+@given(path=st.sampled_from(sorted(_paths(CONFIG_DOC), key=repr)),
+       value=st.just(DELETE) | JSON_VALUES)
+@example(path=("lrw",), value={"kind": "async", "factor": 16})
+@example(path=("time_rnn_causal",), value="no")
+@example(path=("group_size",), value="2")
+@example(path=("lwr", "target_layers", 0), value="a")
+def test_mutated_config_document(files, path, value):
+    (files / "mutated.json").write_text(json.dumps(_mutate(CONFIG_DOC, path, value)))
+    code, stderr = _run(["analyze", "--config", str(files / "mutated.json")])
+    _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_CONFIG})
+
+
+def _poisoned(raw: bytes, name: str, value: float) -> bytes:
+    """``raw`` with the first value of tensor ``name`` overwritten."""
+    header_len = int(np.frombuffer(raw[8:16], np.uint64)[0])
+    payload = -(-(16 + header_len) // ALIGNMENT) * ALIGNMENT
+    pos = payload + json.loads(raw[16 : 16 + header_len])["tensors"][name]["offset"]
+    return raw[:pos] + np.float32(value).tobytes() + raw[pos + 4 :]
+
+
+@PROPERTY
+@given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 400),
+       poison=st.none() | st.tuples(st.sampled_from(sorted(WEIGHTS)),
+                                    st.sampled_from([np.nan, np.inf, -np.inf])))
+@example(edits=[], cut=None, poison=("band_split.band00.norm.gamma", np.nan))
+def test_mutated_weights_file(files, edits, cut, poison):
+    raw = (files / "weights.bsrw").read_bytes()
+    if poison is not None:
+        raw = _poisoned(raw, *poison)
+    (files / "mutated.bsrw").write_bytes(_edited(raw, edits, cut))
+    code, stderr = _enhance(files, weights="mutated.bsrw")
+    _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_WEIGHTS})
+    if poison is not None:
+        assert code == cli.EXIT_WEIGHTS
+
+
+@PROPERTY
+@given(edits=st.lists(st.tuples(st.integers(0, WAV_HEADER - 1), st.integers(0, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 900))
+@example(edits=[(36, ord("x"))], cut=None)  # no data chunk: scipy's UnboundLocalError
+@example(edits=[], cut=30)  # inside the fmt chunk: struct.error
+@example(edits=[], cut=40)  # inside the data chunk header: struct.error
+@example(edits=[], cut=WAV_HEADER + 101)  # short data chunk: scipy warned and read short
+def test_mutated_wav_file(files, edits, cut):
+    raw = (files / "noisy.wav").read_bytes()
+    mutated = _edited(raw, edits, cut)
+    (files / "mutated.wav").write_bytes(mutated)
+    code, stderr = _enhance(files, wav="mutated.wav")
+    _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_AUDIO})
+    if not edits and cut is not None and cut < len(raw):
+        assert code == cli.EXIT_AUDIO

@@ -61,6 +61,13 @@ class TestConfigValidation:
         assert cfg.num_bands == 23
         assert cfg.stft.num_frames(16000) == 63
 
+    def test_plan_resolved_from_strategies(self):
+        cfg = tiny_config(resample=LwrStrategy.alternating(2), prune=SbpStrategy.progressive())
+        assert cfg.plan == (1, ((1, 2, 1), (2, 1, 2)))
+        assert with_fields(cfg, resample=LwrStrategy.pps(3)).plan == (3, ((1, 1, 1), (1, 1, 2)))
+        twin = tiny_config(resample=LwrStrategy.alternating(2), prune=SbpStrategy.progressive())
+        assert twin == cfg and hash(twin) == hash(cfg) and "plan" not in repr(cfg)
+
     def test_presets_resolve(self):
         for name in preset_names():
             assert preset_config(name).name == name
@@ -100,6 +107,13 @@ class TestWeightsAssembly:
         arrays = gen_weights(cfg)
         arrays["layer1.band.norm.gamma"] = np.zeros(7, dtype=np.float32)
         with pytest.raises(WeightsFormatError, match="layer1.band.norm.gamma"):
+            weights_from_arrays(cfg, arrays)
+
+    def test_non_finite_value_named(self):
+        cfg = tiny_config()
+        arrays = gen_weights(cfg)
+        arrays["layer2.band.proj.bias"][3] = np.inf
+        with pytest.raises(WeightsFormatError, match="layer2.band.proj.bias .*non-finite"):
             weights_from_arrays(cfg, arrays)
 
     def test_unexpected_tensor_rejected(self):

@@ -96,7 +96,7 @@ class TestPpsWrap:
 
 
 def _flags(plan):
-    return [(lp.band_resampled, lp.time_resampled) for lp in plan.layers]
+    return [(band > 1, time > 1) for band, time in plan.layers]
 
 
 class TestPlanning:
@@ -109,7 +109,7 @@ class TestPlanning:
         plan = plan_resampling(LwrStrategy.all_layers(4), 3)
         assert plan.pps_factor == 1
         assert _flags(plan) == [(True, True)] * 3
-        assert all(lp.factor == 4 for lp in plan.layers)
+        assert plan.layers == ((4, 4),) * 3
 
     def test_pps_moves_factor_to_stack(self):
         plan = plan_resampling(LwrStrategy.pps(4), 3)

@@ -1,5 +1,7 @@
 """Wav reading and writing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -51,3 +53,18 @@ def test_unsupported_dtype_rejected(tmp_path):
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "nope.wav")
+
+
+def test_unknown_chunk_is_skipped_quietly(tmp_path):
+    path = tmp_path / "u.wav"
+    ints = np.arange(-50, 50, dtype=np.int16)
+    wavfile.write(path, 8000, ints)
+    raw = path.read_bytes()
+    chunk = b"zzzz" + (4).to_bytes(4, "little") + b"\0" * 4
+    riff = (len(raw) + len(chunk) - 8).to_bytes(4, "little")
+    path.write_bytes(raw[:4] + riff + raw[8:36] + chunk + raw[36:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples, _, _ = read_wav(path)
+    assert np.array_equal(samples * 32768, ints)
+
