@@ -71,51 +71,54 @@ def component_order(config: ModelConfig) -> tuple:
     return tuple(keys)
 
 
+def _closed_form(config: ModelConfig, t: int, n, h, g) -> dict:
+    """Per-component MACs over ``t`` frames at feature dim ``n``, hidden dim ``h``
+    and ``g`` groups: ints or broadcastable int64 arrays. The rest is ``config``'s."""
+    k, width_sum = config.num_bands, sum(config.bands.widths)
+    hg = h // g
+    cell = 4 * hg * (n // g + hg)  # one position, one direction, one group
+    band_dirs = 2 if config.band_rnn_bidirectional else 1
+    time_dirs = 1 if config.time_rnn_causal else 2
+    pps_factor, rows = config.plan
+    t_stack = reduced_frames(t, pps_factor)
+
+    comps: dict = {"band_split": t * n * 2 * width_sum}
+    for layer, (band_factor, time_factor, skip) in enumerate(rows, start=1):
+        pos_b = reduced_frames(t_stack, band_factor) * k
+        comps[f"band_rnn[{layer}]"] = band_dirs * pos_b * (g * cell + n * h)
+        pos_t = (k - skip) * reduced_frames(t_stack, time_factor)
+        comps[f"time_rnn[{layer}]"] = time_dirs * pos_t * (g * cell + n * h)
+    comps["mask_head"] = t * config.mask_hidden_ratio * n * (k * n + 2 * width_sum)
+    return comps
+
+
 def analyze_frames(config: ModelConfig, num_frames: int) -> dict:
     """Closed-form per-component MAC counts for ``num_frames`` input frames.
 
     All quantities are exact integers. The band-split and mask head always
     run at the full frame rate; the layer stack rate is reduced by a PPS
     factor; individual sublayer cores are further reduced by their factors
-    in ``config.plan``, and the time RNN sees only the unpruned bands.
+    in ``config.plan``, and the time RNN sees only the unpruned bands. The
+    same closed form prices a whole calibration grid in one pass.
     """
     if num_frames < 1:
         raise ConfigError(f"num_frames must be >= 1, got {num_frames}")
-    t = num_frames
-    k = config.num_bands
-    n, h, g = config.feature_dim, config.hidden_dim, config.group_size
-    ng, hg = n // g, h // g
-    cell = 4 * (ng * hg + hg * hg)  # one position, one direction, one group
-    widths = config.bands.widths
-    band_dirs = 2 if config.band_rnn_bidirectional else 1
-    time_dirs = 1 if config.time_rnn_causal else 2
-    pps_factor, rows = config.plan
-    t_stack = reduced_frames(t, pps_factor)
-
-    comps: dict = {"band_split": sum(t * n * 2 * w for w in widths)}
-    for layer, (band_factor, time_factor, skip) in enumerate(rows, start=1):
-        pos_b = reduced_frames(t_stack, band_factor) * k
-        comps[f"band_rnn[{layer}]"] = (
-            band_dirs * g * pos_b * cell + pos_b * n * (band_dirs * h)
-        )
-        pos_t = (k - skip) * reduced_frames(t_stack, time_factor)
-        comps[f"time_rnn[{layer}]"] = (
-            time_dirs * g * pos_t * cell + pos_t * n * (time_dirs * h)
-        )
-    hidden = config.mask_hidden_dim
-    comps["mask_head"] = sum(t * hidden * n + t * 2 * w * hidden for w in widths)
-    return comps
+    return _closed_form(config, num_frames, config.feature_dim, config.hidden_dim, config.group_size)
 
 
-def analyze(config: ModelConfig, duration: float = 1.0) -> MacsReport:
-    """Closed-form cost of enhancing ``duration`` seconds of audio."""
+def _duration_frames(config: ModelConfig, duration: float) -> int:
+    """Frame count of ``duration`` seconds of audio, checked as :func:`analyze` needs."""
     if not (math.isfinite(duration) and duration > 0):
         raise ConfigError(f"duration must be finite and positive, got {duration}")
     num_samples = int(round(duration * config.stft.sample_rate))
     if num_samples < 1:
         raise ConfigError(f"duration {duration} shorter than one sample")
-    comps = analyze_frames(config, config.stft.num_frames(num_samples))
-    return MacsReport(comps, duration)
+    return config.stft.num_frames(num_samples)
+
+
+def analyze(config: ModelConfig, duration: float = 1.0) -> MacsReport:
+    """Closed-form cost of enhancing ``duration`` seconds of audio."""
+    return MacsReport(analyze_frames(config, _duration_frames(config, duration)), duration)
 
 
 def count_forward(model: Model, x: np.ndarray) -> MacsReport:
@@ -287,24 +290,28 @@ def calibrate_feature_dims(
     Scores each candidate by the worse of its two absolute G/s residuals
     (ungrouped baseline vs target_base, ``group``-grouped vs
     target_grouped) and returns the ``top`` best as CalibrationResult,
-    best first. This is how the canonical dims were frozen.
+    best first. This is how the canonical dims were frozen. The whole grid
+    is priced in one pass of the closed form over int64 arrays, with results
+    identical to :func:`analyze` on each candidate's two configs.
     """
     if group < 1 or top < 1:
         raise ConfigError(f"group and top must be at least 1, got {group} and {top}")
     if step < 1 or dim_min < group or dim_max < dim_min:
         raise ConfigError(f"bad search grid [{dim_min}, {dim_max}] step {step}")
+    if not (math.isfinite(target_base) and math.isfinite(target_grouped)):
+        raise ConfigError(f"targets must be finite, got {target_base} and {target_grouped}")
     template = canonical_config()
-    results = []
-    for n in range(dim_min, dim_max + 1, step):
-        if n % group:
-            continue
-        for h in range(dim_min, dim_max + 1, step):
-            if h % group:
-                continue
-            cfg = dataclasses.replace(template, feature_dim=n, hidden_dim=h, group_size=1)
-            base_gps = analyze(cfg, duration).gps
-            grouped_gps = analyze(dataclasses.replace(cfg, group_size=group), duration).gps
-            residual = max(abs(base_gps - target_base), abs(grouped_gps - target_grouped))
-            results.append(CalibrationResult(n, h, base_gps, grouped_gps, residual))
-    results.sort(key=lambda r: (r.residual, r.feature_dim, r.hidden_dim))
-    return results[:top]
+    t = _duration_frames(template, duration)
+    # the closed form grows with both dims, so the corner bounds every value
+    if sum(_closed_form(template, t, dim_max, dim_max, 1).values()) > np.iinfo(np.int64).max:
+        raise ConfigError(f"dim_max {dim_max} prices MAC totals beyond int64")
+    dims = np.arange(dim_min, dim_max + 1, step, dtype=np.int64)
+    dims = dims[dims % group == 0]
+    if not dims.size:
+        raise ConfigError(f"no dim in [{dim_min}, {dim_max}] step {step} is divisible by {group}")
+    n, h = np.repeat(dims, dims.size), np.tile(dims, dims.size)
+    gps = [sum(_closed_form(template, t, n, h, g).values()) / (duration * 1e9) for g in (1, group)]
+    residual = np.maximum(np.abs(gps[0] - target_base), np.abs(gps[1] - target_grouped))
+    best = np.lexsort((h, n, residual))[:top]
+    columns = (n, h, *gps, residual)
+    return [CalibrationResult(*row) for row in zip(*(c[best].tolist() for c in columns))]

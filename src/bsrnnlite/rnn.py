@@ -35,13 +35,17 @@ LN_EPSILON = 1e-5
 #: one call per cell does, and the two agree bitwise.
 PROJECTION_ROWS = 512
 
+#: rows per :func:`layer_norm` variance block; each row reduces alone, so blocks change no bit
+_NORM_ROWS = 256
+
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize over the last axis, then apply the affine (gamma, beta)."""
     x = np.asarray(x, dtype=np.float64)
-    out = x - x.mean(axis=-1, keepdims=True)
-    var = np.square(out).mean(axis=-1, keepdims=True)
-    out /= np.sqrt(var + LN_EPSILON)
+    out = np.subtract(x, x.mean(axis=-1, keepdims=True), out=np.empty(x.shape))
+    rows = out.reshape(-1, out.shape[-1])
+    for block in (rows[i : i + _NORM_ROWS] for i in range(0, len(rows), _NORM_ROWS)):
+        block /= np.sqrt(np.square(block).mean(axis=-1, keepdims=True) + LN_EPSILON)
     out *= gamma
     out += beta
     return out
@@ -155,13 +159,6 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights):
             for d in range(dirs):
                 out[:, idx[d, s], :, d] = by_dir[:, d].swapaxes(0, 1)
     return rearrange(out.reshape(b, t, n * h), groups)
-
-
-def lstm_forward(seq: np.ndarray, cells: LstmWeights):
-    """Single-sequence :func:`lstm_forward_batch`: ``[T x I]`` -> ``[T x C*h]``."""
-    if seq.ndim != 2:
-        raise ConfigError(f"sequence must be [T x I], got shape {seq.shape}")
-    return lstm_forward_batch(seq[None], cells)[0]
 
 
 def rearrange(x: np.ndarray, groups: int) -> np.ndarray:

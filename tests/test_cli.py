@@ -209,6 +209,9 @@ class TestErrorsAndUsage:
         ["bench", "--config", "canonical-v1", "--seconds", "nan"],
         ["calibrate", "--top", "0"],
         ["calibrate", "--group", "0"],
+        ["calibrate", "--dim-min", "3", "--dim-max", "3", "--group", "2"],
+        ["calibrate", "--target-base", "nan"],
+        ["calibrate", "--target-grouped", "inf"],
     ], ids=" ".join)
     def test_nonfinite_and_zero_flags_rejected(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

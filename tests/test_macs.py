@@ -1,6 +1,7 @@
 """Closed-form analyzer, the instrumented counter, and the variant table."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bsrnnlite import (
 )
 from bsrnnlite.macs import REFERENCE_GPS, analyze_frames, component_order
 
-from util import build_tiny, tiny_config
+from util import build_tiny, calibrate_by_analyze, tiny_config
 
 
 class TestClosedForm:
@@ -176,9 +177,60 @@ class TestCanonicalNumbers:
         alt = analyze(base.with_resample(LwrStrategy.alternating(4))).total
         assert sync == alt
 
-    def test_default_calibration_recovers_canonical_dims(self):
+    def test_default_calibration_recovers_canonical_dims(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid must not be priced through analyze")
+
+        monkeypatch.setattr("bsrnnlite.macs.analyze", refuse)
         best = calibrate_feature_dims()[0]
         assert (best.feature_dim, best.hidden_dim) == (126, 72)
+
+
+class TestCalibration:
+    # (target_base, target_grouped, group, dim_min, dim_max, step, duration, top)
+    GRIDS = [
+        (1.84, 1.09, 2, 64, 132, 2, 1.0, 20),     # around the canonical dims
+        (0.9, 0.9, 1, 8, 60, 2, 2.5, 10),         # one group: both prices equal
+        (1.2, 0.5, 3, 9, 90, 3, 0.37, 10**4),     # top above the 784 candidates
+        (2.0, 0.7, 4, 8, 120, 4, 1.0, 7),
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"group{g[2]}-{g[6]}s")
+    def test_equals_per_candidate_analyze(self, grid):
+        results = calibrate_feature_dims(*grid)
+        assert results == calibrate_by_analyze(*grid)
+        assert len(results) == min(grid[-1], len(range(grid[3], grid[4] + 1, grid[5])) ** 2)
+
+    def test_totals_beyond_int64_rejected_not_wrapped(self):
+        near = (1.84, 1.09, 2, 5999996, 6000000, 2, 1.0, 10)
+        assert calibrate_feature_dims(*near) == calibrate_by_analyze(*near)
+        with pytest.raises(ConfigError, match="int64"):
+            calibrate_feature_dims(dim_min=6399996, dim_max=6400000)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dim_min=3, dim_max=3, group=2),
+        dict(dim_min=8, step=3, group=3),
+        dict(target_base=math.nan),
+        dict(target_grouped=math.inf),
+        dict(duration=0.0),
+        dict(duration=-1.0),
+        dict(duration=math.nan),
+        dict(duration=math.inf),
+    ], ids=repr)
+    def test_empty_grid_and_bad_numbers_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            calibrate_feature_dims(**kwargs)
+
+    def test_count_forward_is_not_the_closed_form(self, monkeypatch):
+        cfg, model = build_tiny(group_size=2, resample=LwrStrategy.alternating(2))
+        feats = np.random.default_rng(4).standard_normal((3, 9, 6))
+        expected = analyze_frames(cfg, 9)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_forward must not call the closed form")
+
+        monkeypatch.setattr("bsrnnlite.macs._closed_form", refuse)
+        assert count_forward(model, feats).components == expected
 
 
 class TestTable:

@@ -1,16 +1,17 @@
 """The stacked LSTM kernel, rearrangement, and the shared pointwise helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bsrnnlite import ConfigError
+from bsrnnlite import ConfigError, rnn
 from bsrnnlite.rnn import GroupedLayerWeights, LstmWeights
-from bsrnnlite.rnn import dense, layer_norm, lstm_forward, lstm_forward_batch, rearrange
+from bsrnnlite.rnn import dense, layer_norm, lstm_forward_batch, rearrange
 
 from reference import naive_lstm_forward
-from util import compose_by_hand, one_cell
+from util import compose_by_hand, lstm_forward, one_cell
 
 
 def _random_cell(rng, in_dim, hidden_dim, cells=1):
@@ -250,6 +251,42 @@ class TestPointwise:
         out = layer_norm(x, np.ones(8), np.zeros(8))
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-4)  # eps shrinks it slightly
+
+    @staticmethod
+    def _two_pass_norm(x, gamma, beta):
+        out = x - x.mean(axis=-1, keepdims=True)
+        out /= np.sqrt(np.square(out).mean(axis=-1, keepdims=True) + rnn.LN_EPSILON)
+        return out * gamma + beta
+
+    @pytest.mark.parametrize("shape", [(1, 1, 126), (5, 8), (rnn._NORM_ROWS, 3),
+                                       (rnn._NORM_ROWS + 1, 7), (3, 301, 126)], ids=str)
+    def test_layer_norm_blocks_match_two_pass_bitwise(self, shape):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        gamma, beta = rng.standard_normal((2, shape[-1]))
+        assert np.array_equal(layer_norm(x, gamma, beta), self._two_pass_norm(x, gamma, beta))
+
+    def test_layer_norm_transposed_input_bitwise(self):
+        # the band sublayer normalizes a [T x K x N] view of [K x T x N] features
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((23, 40, 126)).transpose(1, 0, 2)
+        gamma, beta = rng.standard_normal((2, 126))
+        out = layer_norm(x, gamma, beta)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, self._two_pass_norm(x, gamma, beta))
+
+    def test_layer_norm_peak_is_output_plus_one_block(self):
+        x = np.random.default_rng(21).standard_normal((40, 23, 126))
+        gamma, beta = np.ones(126), np.zeros(126)
+        layer_norm(x, gamma, beta)
+        tracemalloc.start()
+        try:
+            layer_norm(x, gamma, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = rnn._NORM_ROWS * 126 * 8
+        assert peak <= x.nbytes + block + 64 * 1024
 
     def test_dense_matches_manual_and_counts(self):
         rng = np.random.default_rng(18)

@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 
-from bsrnnlite import ModelConfig, StftConfig, BandConfig, build, gen_weights
-from bsrnnlite.rnn import LstmWeights, rearrange
+from bsrnnlite import ModelConfig, StftConfig, BandConfig, analyze, build, canonical_config, gen_weights
+from bsrnnlite.macs import CalibrationResult
+from bsrnnlite.rnn import LstmWeights, lstm_forward_batch, rearrange
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -39,6 +40,12 @@ def random_band_layout(rng: np.random.Generator, num_bins: int, max_bands: int =
     return BandConfig(tuple((edges[i], edges[i + 1]) for i in range(k)))
 
 
+def lstm_forward(seq: np.ndarray, cells: LstmWeights):
+    """Single-sequence ``lstm_forward_batch``: ``[T x I]`` -> ``[T x C*h]``."""
+    assert seq.ndim == 2, f"sequence must be [T x I], got shape {seq.shape}"
+    return lstm_forward_batch(seq[None], cells)[0]
+
+
 def one_cell(cells: LstmWeights, k: int) -> LstmWeights:
     """Cell ``k`` of a stack, as a stack of one."""
     return LstmWeights(cells.w_input[k : k + 1], cells.w_hidden[k : k + 1], cells.bias[k : k + 1])
@@ -61,3 +68,24 @@ def compose_by_hand(seqs, cells: LstmWeights, run_cell):
         x = seqs[:, :, group * width : (group + 1) * width]
         parts.append(run_cell(x[:, ::-1], k)[:, ::-1] if backward else run_cell(x, k))
     return rearrange(np.concatenate(parts, axis=-1), groups)
+
+
+def calibrate_by_analyze(target_base, target_grouped, group, dim_min, dim_max, step, duration, top):
+    """The calibration grid priced one candidate at a time through ``analyze``.
+
+    Two configs per candidate (ungrouped and ``group``-grouped), sorted by
+    (residual, feature_dim, hidden_dim): the reference the vectorised
+    ``calibrate_feature_dims`` must equal exactly.
+    """
+    template = canonical_config()
+    dims = [d for d in range(dim_min, dim_max + 1, step) if d % group == 0]
+    results = []
+    for n in dims:
+        for h in dims:
+            cfg = dataclasses.replace(template, feature_dim=n, hidden_dim=h, group_size=1)
+            base_gps = analyze(cfg, duration).gps
+            grouped_gps = analyze(dataclasses.replace(cfg, group_size=group), duration).gps
+            residual = max(abs(base_gps - target_base), abs(grouped_gps - target_grouped))
+            results.append(CalibrationResult(n, h, base_gps, grouped_gps, residual))
+    results.sort(key=lambda r: (r.residual, r.feature_dim, r.hidden_dim))
+    return results[:top]
