@@ -27,7 +27,7 @@ import numpy as np
 from . import configio, macs, wavio, weights_io
 from .dsp import OaConfig
 from .errors import AudioFormatError, ConfigError, WeightsFormatError
-from .model import build, preset_names
+from .model import build, preset_names, weight_arrays
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -159,6 +159,10 @@ def cmd_bench(args) -> int:
     print(f"rtf        {wall / args.seconds:.3f}")
     print(f"cost       {report.gps:.2f} G/s analyzed")
     print(f"throughput {report.total / wall / 1e9:.2f} GMAC/s effective")
+    held = weight_arrays(model.weights)
+    print(f"weights    {sum(a.nbytes for a in held) / 2**20:.1f} MiB "
+          f"{'/'.join(sorted({a.dtype.name for a in held}))} "
+          f"({sum(a.size for a in held)} parameters)")
     return EXIT_OK
 
 

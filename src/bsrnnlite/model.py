@@ -228,13 +228,25 @@ class ModelWeights:
     mask_head: tuple
 
 
+def weight_arrays(node) -> list:
+    """Every array a :class:`ModelWeights`, or any record or tuple in it, holds."""
+    if isinstance(node, np.ndarray):
+        return [node]
+    if isinstance(node, tuple):
+        return [a for sub in node for a in weight_arrays(sub)]
+    return [a for f in dataclasses.fields(node) for a in weight_arrays(getattr(node, f.name))]
+
+
 def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
     """Assemble structured weights from a flat name -> array mapping.
 
     Every expected tensor must be present with the expected shape and
-    finite values; unknown names are rejected. Arrays are upcast to float64
-    for computation, and each sublayer's cells are stacked in the layout's
-    (group, direction) order, the order the kernel expects.
+    finite values; unknown names are rejected. Each array is copied, so the
+    model shares no buffer with ``arrays``. A float32 array stays float32,
+    the dtype ``.bsrw`` stores, and the kernels upcast it exactly at use;
+    any other dtype is upcast to float64 here. Each sublayer's cells are
+    stacked in the layout's (group, direction) order, the order the kernel
+    expects.
     """
     expected = expected_tensors(config)
     for name in expected:
@@ -248,7 +260,7 @@ def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
         a = np.asarray(arrays[name])
         if a.shape != shape:
             raise WeightsFormatError(f"tensor {name} has shape {a.shape}, expected {shape}")
-        a = a.astype(np.float64)
+        a = a.astype(np.float32 if a.dtype == np.float32 else np.float64)
         if not np.isfinite(a).all():
             raise WeightsFormatError(f"tensor {name} holds non-finite values")
         return a

@@ -144,8 +144,11 @@ def resampled_sublayer(features: np.ndarray, core, factor: int) -> np.ndarray:
     """Residual block with the core computed at 1/factor frame rate.
 
     ``core`` maps ``[... x T' x N]`` to the same shape. With factor 1 this
-    is a plain residual block (the hold is a value-preserving copy).
+    is a plain residual block with no hold. The add is out of place: a core
+    may return an array it still holds.
     """
+    if factor == 1:
+        return features + core(features)
     reduced = downsample_t(features, factor)
     return features + upsample_t(core(reduced), factor, features.shape[-2])
 

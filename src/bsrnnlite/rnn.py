@@ -6,8 +6,9 @@ in the network is a matmul against a loaded weight matrix, once per row,
 which is how :func:`bsrnnlite.macs.count_forward` prices it.
 
 Gate order along the stacked 4H axis is (input, forget, cell, output).
-The network computes in float64; weight files store float32 and are
-upcast when a model is built.
+The network computes in float64. A model keeps its weights in the dtype
+they were stored in (float32 from a weights file), and the kernels upcast
+them to float64 at use, which is exact, so every sum is as in float64.
 
 Stacked cell layout: all cells of one RNN sublayer, g groups of one or two
 directions, live in one :class:`LstmWeights` whose arrays carry a leading
@@ -53,7 +54,7 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 def dense(x, weight, bias):
     """Affine map on the last axis: ``x @ weight.T + bias``, ``weight`` ``[out x in]``."""
-    out = x @ weight.T
+    out = x @ weight.astype(np.float64, copy=False).T
     out += bias
     return out
 
@@ -137,9 +138,10 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights):
     groups, dirs = _cell_layout(width, cells)
     n, i, h = cells.cell_count, cells.input_dim, cells.hidden_dim
     xs = seqs.reshape(b, t, groups, i)
-    w_input = cells.w_input.transpose(0, 2, 1)
-    w_hidden = cells.w_hidden.transpose(0, 2, 1)
-    bias = cells.bias[:, None]
+    # upcast once, then transpose: BLAS sees the float64 layout, the loop casts nothing
+    w_input = cells.w_input.astype(np.float64, copy=False).transpose(0, 2, 1)
+    w_hidden = cells.w_hidden.astype(np.float64, copy=False).transpose(0, 2, 1)
+    bias = cells.bias.astype(np.float64, copy=False)[:, None]
     # frames[d, s] is the frame that direction d reads at step s
     frames = np.stack([np.arange(t), np.arange(t)[::-1]])[:dirs]
     out = np.empty((b, t, groups, dirs, h))

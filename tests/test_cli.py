@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from bsrnnlite import cli, save_config, wavio
+from bsrnnlite import cli, expected_tensors, save_config, wavio
 from bsrnnlite.cli import (
     EXIT_AUDIO,
     EXIT_CONFIG,
@@ -247,6 +247,9 @@ class TestBenchAndCalibrate:
                      "--seconds", "0.05", "--runs", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "rtf" in out and "GMAC/s" in out
+        params = sum(int(np.prod(shape)) for shape in expected_tensors(tiny_config()).values())
+        assert out.splitlines()[-1] == (
+            f"weights    {4 * params / 2**20:.1f} MiB float32 ({params} parameters)")
 
     def test_calibrate_recovers_canonical_dims(self, capsys):
         assert main(["calibrate", "--dim-min", "64", "--dim-max", "132",

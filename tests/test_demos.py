@@ -34,3 +34,11 @@ def test_resampling_strategies_mark_the_reduced_cores():
         "  sync(4)        1:BT 2:-- 3:BT 4:-- 5:BT 6:--",
         "  async(4)       1:-T 2:B- 3:-T 4:B- 5:-T 6:B-",
     ]
+
+
+def test_enhance_walkthrough_matches_enhance():
+    assert "stagewise result == enhance(): True" in _run_demo("01_enhance_walkthrough.py").splitlines()
+
+
+def test_reduction_table_reaches_the_headline_cut():
+    assert "+++GR               0.60       67.1%" in _run_demo("05_reduction_table.py").splitlines()

@@ -20,8 +20,9 @@ from bsrnnlite import (
     preset_names,
 )
 from bsrnnlite.model import CANONICAL_FEATURE_DIM, CANONICAL_HIDDEN_DIM, canonical_config
-from bsrnnlite.model import weights_from_arrays
+from bsrnnlite.model import weight_arrays, weights_from_arrays
 from bsrnnlite.rnn import LstmWeights, dense, layer_norm, lstm_forward_batch
+from bsrnnlite.weights_io import load_weights, save_weights
 
 from reference import straight_line_layer
 from util import build_tiny, tiny_config, with_fields
@@ -128,6 +129,58 @@ class TestWeightsAssembly:
         structured = weights_from_arrays(cfg, gen_weights(cfg))
         model = build(cfg, structured)
         assert model.config is cfg
+
+
+class TestResidentWeights:
+    """Weights stay in their stored dtype; the kernels upcast them exactly at use."""
+
+    @staticmethod
+    def _load(cfg, tmp_path):
+        path = tmp_path / "w.bsrw"
+        save_weights(path, gen_weights(cfg, seed=0))
+        return load_weights(path)[0]
+
+    def test_float32_stays_float32_and_float64_stays_float64(self, tmp_path):
+        cfg = canonical_config()
+        generated = gen_weights(cfg, seed=0)
+        for arrays in (generated, self._load(cfg, tmp_path)):
+            held = weight_arrays(build(cfg, arrays).weights)
+            assert {a.dtype for a in held} == {np.dtype(np.float32)}
+        upcast = {name: a.astype(np.float64) for name, a in generated.items()}
+        assert {a.dtype for a in weight_arrays(build(cfg, upcast).weights)} == {np.dtype(np.float64)}
+
+    def test_resident_bytes_are_four_per_parameter(self):
+        cfg = canonical_config()
+        params = sum(int(np.prod(shape)) for shape in expected_tensors(cfg).values())
+        held = weight_arrays(build(cfg, gen_weights(cfg, seed=0)).weights)
+        assert sum(a.size for a in held) == params == 3005688
+        assert sum(a.nbytes for a in held) == 4 * params
+        assert round(4 * params / 2**20, 1) == 11.5
+
+    def test_no_array_is_a_view_into_the_loaded_buffer(self, tmp_path):
+        cfg = tiny_config()
+        loaded = self._load(cfg, tmp_path)
+        assert not any(a.flags.owndata for a in loaded.values())  # load_weights hands out views
+        for held in weight_arrays(build(cfg, loaded).weights):
+            assert held.flags.owndata
+            assert not any(np.may_share_memory(held, a) for a in loaded.values())
+
+    @pytest.mark.parametrize("cfg", [preset_config(name) for name in preset_names()] + [
+        canonical_config().with_resample(LwrStrategy.pps(4), "pps4"),
+        canonical_config().with_resample(LwrStrategy.sync(4), "sync4"),
+        canonical_config().with_groups(2).with_resample(LwrStrategy.alternating(16))
+        .with_prune(SbpStrategy.aggressive(), "gr-async16-sbpa"),
+    ], ids=lambda cfg: cfg.name)
+    def test_outputs_match_float64_resident_weights_bitwise(self, cfg):
+        arrays = gen_weights(cfg, seed=1)
+        narrow = build(cfg, arrays)
+        wide = build(cfg, {name: a.astype(np.float64) for name, a in arrays.items()})
+        rng = np.random.default_rng(2)
+        for length in (1600, 12000):  # 0.1 s (7 frames) and 0.75 s (48 frames)
+            wave = rng.standard_normal(length).astype(np.float32) * 0.1
+            assert enhance(narrow, wave).tobytes() == enhance(wide, wave).tobytes()
+            feats = rng.standard_normal((cfg.num_bands, length // 160, cfg.feature_dim))
+            assert forward_features(narrow, feats).tobytes() == forward_features(wide, feats).tobytes()
 
 
 class TestForward:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bsrnnlite import ConfigError, LwrStrategy
-from bsrnnlite import plan_resampling
+from bsrnnlite import plan_resampling, resample
 from bsrnnlite.resample import downsample_t, pps_wrap, reduced_frames, resampled_sublayer, upsample_t
 
 
@@ -49,6 +49,14 @@ class TestResampledSublayer:
         core_out = rng.standard_normal((3, 6, 4))
         got = resampled_sublayer(x, lambda z: core_out, 1)
         assert np.array_equal(got, x + core_out)
+
+    def test_factor_one_holds_nothing(self, monkeypatch):
+        def no_hold(*args):
+            raise AssertionError("factor 1 must not hold")
+
+        monkeypatch.setattr(resample, "upsample_t", no_hold)
+        x = np.random.default_rng(4).standard_normal((2, 5, 3))
+        assert np.array_equal(resampled_sublayer(x, lambda z: 2.0 * z, 1), 3.0 * x)
 
     def test_zero_core_is_identity(self):
         x = np.random.default_rng(2).standard_normal((3, 7, 4))
