@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import configio, macs, wavio, weights_io
+from . import configio, macs, rnn, wavio, weights_io
 from .dsp import OaConfig
 from .errors import AudioFormatError, ConfigError, WeightsFormatError
 from .model import build, preset_names, weight_arrays
@@ -159,6 +159,7 @@ def cmd_bench(args) -> int:
     print(f"rtf        {wall / args.seconds:.3f}")
     print(f"cost       {report.gps:.2f} G/s analyzed")
     print(f"throughput {report.total / wall / 1e9:.2f} GMAC/s effective")
+    print(f"workers    {rnn._WORKERS} of {rnn._CPUS} CPUs, shares of >= {rnn.MIN_SHARE_ROWS} rows")
     held = weight_arrays(model.weights)
     print(f"weights    {sum(a.nbytes for a in held) / 2**20:.1f} MiB "
           f"{'/'.join(sorted({a.dtype.name for a in held}))} "

@@ -312,7 +312,9 @@ def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool):
     xn = layer_norm(x, w.norm_gamma, w.norm_beta)
     if across_bands:
         xn = xn.transpose(1, 0, 2)
-    out = dense(rnn.lstm_forward_batch(xn, w.cells), w.proj_weight, w.proj_bias)
+    hidden = rnn.lstm_forward_batch(xn, w.cells)
+    del xn  # free before the projection allocates its output
+    out = dense(hidden, w.proj_weight, w.proj_bias)
     return out.transpose(1, 0, 2) if across_bands else out
 
 

@@ -16,13 +16,17 @@ cell axis of length C = g * dirs in (group, direction) order. Cell
 ``j * dirs + d`` reads input channels ``[j * I/g, (j + 1) * I/g)``, in
 forward time for d = 0 and in reverse time for d = 1. The kernel works
 out g from the input width (I / (I/g)) and dirs from C / g, runs every
-cell in one time loop, and emits the hidden states group-major
-(``[g0 fwd, g0 bwd, g1 fwd, ...]``) through :func:`rearrange`.
+cell in one time loop, and writes each hidden state straight to its
+channel of the group-major order (``[g0 fwd, g0 bwd, g1 fwd, ...]``) after
+:func:`rearrange`, so no shuffle copy is made.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +42,61 @@ PROJECTION_ROWS = 512
 
 #: rows per :func:`layer_norm` variance block; each row reduces alone, so blocks change no bit
 _NORM_ROWS = 256
+
+#: fewest batch rows in one thread's share of a :func:`lstm_forward_batch`
+#: call. A smaller share pays a whole time loop's per-step overhead for little
+#: arithmetic, and GEMMs that small may take a BLAS small-matrix path whose
+#: sums differ in the last bit from the whole batch's.
+MIN_SHARE_ROWS = 64
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: the BLAS thread variables; the kernel splits only when they pin the BLAS to one thread
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_blas_thread(environ=os.environ) -> bool:
+    """True when a BLAS thread variable is set and every one that is set reads 1."""
+    values = [environ[var].strip() for var in _BLAS_THREAD_VARS if var in environ]
+    return bool(values) and all(value == "1" for value in values)
+
+
+#: CPUs this process may run on
+_CPUS = _cpu_count()
+#: threads one kernel call may use: every CPU when each GEMM runs on one BLAS
+#: thread, else one, as a multi-threaded BLAS already uses the CPUs and its row
+#: sums may depend on the GEMM's row count
+_WORKERS = _CPUS if _one_blas_thread() else 1
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The module's thread pool, created at the first split."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # imported here, not at the top: concurrent.futures loads logging, ~9 ms
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="bsrnnlite")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: start a new pool."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -133,34 +192,68 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights):
     folded in) runs in blocks of :data:`PROJECTION_ROWS` rows ahead of the
     steps that use it; only the recurrent matmul runs per step, one for all
     cells.
+
+    The rows are independent sequences. When the BLAS thread variables pin
+    each GEMM to one thread, a batch of at least ``2 * MIN_SHARE_ROWS`` rows
+    is split into contiguous shares of at least :data:`MIN_SHARE_ROWS` rows,
+    at most one per CPU. The caller's thread runs the first share and a
+    thread pool the rest, each writing its rows of the one output. On one
+    BLAS thread a GEMM of that many rows gives each row the same sums
+    whatever its row count, so the output is bitwise equal to one thread's;
+    a multi-threaded BLAS does not promise that, and nothing splits there.
     """
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
-    n, i, h = cells.cell_count, cells.input_dim, cells.hidden_dim
-    xs = seqs.reshape(b, t, groups, i)
+    i, h = cells.input_dim, cells.hidden_dim
     # upcast once, then transpose: BLAS sees the float64 layout, the loop casts nothing
-    w_input = cells.w_input.astype(np.float64, copy=False).transpose(0, 2, 1)
-    w_hidden = cells.w_hidden.astype(np.float64, copy=False).transpose(0, 2, 1)
-    bias = cells.bias.astype(np.float64, copy=False)[:, None]
+    weights = (cells.w_input.astype(np.float64, copy=False).transpose(0, 2, 1),
+               cells.w_hidden.astype(np.float64, copy=False).transpose(0, 2, 1),
+               cells.bias.astype(np.float64, copy=False)[:, None])
+    # [dirs x h x groups] per position is the rearranged (group-shuffled) channel order
+    out = np.empty((b, t, dirs, h, groups))
+    run = partial(_run_rows, seqs.reshape(b, t, groups, i), out, weights,
+                  max(1, PROJECTION_ROWS // max(b, 1)))
+    shares = min(_WORKERS, b // MIN_SHARE_ROWS)
+    if shares < 2:
+        run(0, b)
+    else:
+        from concurrent.futures import wait
+
+        bounds = [b * k // shares for k in range(shares + 1)]
+        pool = _pool()
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        try:
+            run(0, bounds[1])
+        finally:
+            # no thread may still write into ``out`` once this call ends, even by raising
+            wait(futures)
+        for future in futures:
+            future.result()
+    return out.reshape(b, t, dirs * h * groups)
+
+
+def _run_rows(xs, out, weights, block, lo, hi):
+    """The projection blocks and time loop for batch rows ``[lo, hi)``, into ``out``."""
+    w_input, w_hidden, bias = weights
+    xs, out = xs[lo:hi], out[lo:hi]
+    rows, t, groups, i = xs.shape
+    n, h, dirs = w_hidden.shape[0], w_hidden.shape[1], out.shape[2]
     # frames[d, s] is the frame that direction d reads at step s
     frames = np.stack([np.arange(t), np.arange(t)[::-1]])[:dirs]
-    out = np.empty((b, t, groups, dirs, h))
-    state = np.zeros((n, b, h))
-    c = np.zeros((n, b, h))
-    block = max(1, PROJECTION_ROWS // max(b, 1))
+    state = np.zeros((n, rows, h))
+    c = np.zeros((n, rows, h))
     for start in range(0, t, block):
         idx = frames[:, start : start + block]
         steps = idx.shape[1]
-        x = xs[:, idx].transpose(3, 1, 0, 2, 4).reshape(n, b * steps, i)
+        x = xs[:, idx].transpose(3, 1, 0, 2, 4).reshape(n, rows * steps, i)
         gates_x = x @ w_input
         gates_x += bias
-        gates_x = gates_x.reshape(n, b, steps, 4 * h)
+        gates_x = gates_x.reshape(n, rows, steps, 4 * h)
         for s in range(steps):
             state, c = _gate_update(gates_x[:, :, s] + state @ w_hidden, c)
-            by_dir = state.reshape(groups, dirs, b, h)
+            by_dir = state.reshape(groups, dirs, rows, h)
             for d in range(dirs):
-                out[:, idx[d, s], :, d] = by_dir[:, d].swapaxes(0, 1)
-    return rearrange(out.reshape(b, t, n * h), groups)
+                out[:, idx[d, s], d] = by_dir[:, d].transpose(1, 2, 0)
 
 
 def rearrange(x: np.ndarray, groups: int) -> np.ndarray:
@@ -168,7 +261,8 @@ def rearrange(x: np.ndarray, groups: int) -> np.ndarray:
 
     Views the C channels as [groups x C/groups], transposes, flattens, so
     information crosses group boundaries between grouped layers. groups=1
-    is the identity; groups=2 is its own inverse.
+    is the identity; groups=2 is its own inverse. :func:`lstm_forward_batch`
+    writes its output in this order directly; this is the reference for it.
     """
     c = x.shape[-1]
     if groups < 1 or c % groups != 0:

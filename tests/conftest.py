@@ -5,6 +5,8 @@ them from a terminal-summary hook keeps the lines visible under normal
 output capture.
 """
 
+import pytest
+
 _CRITERIA: dict[int, str] = {}
 
 
@@ -18,3 +20,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num in sorted(_CRITERIA):
         terminalreporter.write_line(_CRITERIA[num])
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """``force(count)`` sets the kernel's thread count and gives it a fresh pool."""
+    from bsrnnlite import rnn
+
+    before = rnn._POOL
+
+    def drop_own_pool():
+        if rnn._POOL is not None and rnn._POOL is not before:
+            rnn._POOL.shutdown()
+
+    def force(count):
+        drop_own_pool()
+        monkeypatch.setattr(rnn, "_WORKERS", count)
+        monkeypatch.setattr(rnn, "_POOL", None)
+
+    yield force
+    drop_own_pool()

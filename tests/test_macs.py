@@ -157,6 +157,17 @@ class TestCounterAgreement:
             assert list(got.values()) == [split, *stack, head], overrides
             assert got == analyze_frames(cfg, 7)
 
+    def test_waveform_mode_runs_no_mask_head_or_inverse(self, monkeypatch):
+        # the mask head's price follows from T alone, so its output is never needed
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_forward ran a stage whose result it discards")
+
+        for name in ("estimate_mask", "apply_mask", "istft"):
+            monkeypatch.setattr(f"bsrnnlite.macs.{name}", refuse)
+        cfg, model = build_tiny()
+        report = count_forward(model, np.random.default_rng(5).standard_normal(400) * 0.1)
+        assert report.components == analyze_frames(cfg, cfg.stft.num_frames(400))
+
 
 class TestCanonicalNumbers:
     def test_baseline_and_grouped_anchors(self):

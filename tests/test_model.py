@@ -1,5 +1,10 @@
 """Config validation, weight assembly, the layer stack, and enhancement."""
 
+import os
+import signal
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from bsrnnlite import (
     StftConfig,
     WeightsFormatError,
     build,
+    count_forward,
     enhance,
     expected_tensors,
     forward_features,
@@ -19,6 +25,7 @@ from bsrnnlite import (
     preset_config,
     preset_names,
 )
+from bsrnnlite import rnn
 from bsrnnlite.model import CANONICAL_FEATURE_DIM, CANONICAL_HIDDEN_DIM, canonical_config
 from bsrnnlite.model import weight_arrays, weights_from_arrays
 from bsrnnlite.rnn import LstmWeights, dense, layer_norm, lstm_forward_batch
@@ -131,6 +138,15 @@ class TestWeightsAssembly:
         assert model.config is cfg
 
 
+#: the five presets and three more plans: pps(4), sync(4), GR 2 + async(16) + aggressive SBP
+_VARIANTS = [preset_config(name) for name in preset_names()] + [
+    canonical_config().with_resample(LwrStrategy.pps(4), "pps4"),
+    canonical_config().with_resample(LwrStrategy.sync(4), "sync4"),
+    canonical_config().with_groups(2).with_resample(LwrStrategy.alternating(16))
+    .with_prune(SbpStrategy.aggressive(), "gr-async16-sbpa"),
+]
+
+
 class TestResidentWeights:
     """Weights stay in their stored dtype; the kernels upcast them exactly at use."""
 
@@ -165,12 +181,7 @@ class TestResidentWeights:
             assert held.flags.owndata
             assert not any(np.may_share_memory(held, a) for a in loaded.values())
 
-    @pytest.mark.parametrize("cfg", [preset_config(name) for name in preset_names()] + [
-        canonical_config().with_resample(LwrStrategy.pps(4), "pps4"),
-        canonical_config().with_resample(LwrStrategy.sync(4), "sync4"),
-        canonical_config().with_groups(2).with_resample(LwrStrategy.alternating(16))
-        .with_prune(SbpStrategy.aggressive(), "gr-async16-sbpa"),
-    ], ids=lambda cfg: cfg.name)
+    @pytest.mark.parametrize("cfg", _VARIANTS, ids=lambda cfg: cfg.name)
     def test_outputs_match_float64_resident_weights_bitwise(self, cfg):
         arrays = gen_weights(cfg, seed=1)
         narrow = build(cfg, arrays)
@@ -345,6 +356,58 @@ class TestEnhance:
         wave = np.random.default_rng(10).standard_normal(900).astype(np.float32) * 0.1
         out = enhance(model, wave)
         assert out.shape == (900,) and np.isfinite(out).all()
+
+
+class TestThreadSplit:
+    """The band RNN's frames split over threads; every output byte stays the same."""
+
+    @pytest.mark.parametrize("cfg", _VARIANTS, ids=lambda cfg: cfg.name)
+    def test_one_two_and_three_workers_agree_bitwise(self, cfg, force_workers, monkeypatch):
+        model = build(cfg, gen_weights(cfg, seed=0))
+        rng = np.random.default_rng(5)
+        # band-RNN rows are the frames the stack runs at: 129 (odd) split once, 193 split
+        # 96/97 at 2 workers and 64/64/65 at 3, 127 not at all
+        pps, hop = cfg.plan[0], cfg.stft.hop_size
+        wave = rng.standard_normal(128 * pps * hop).astype(np.float32) * 0.1
+        feats = rng.standard_normal((cfg.num_bands, 192 * pps + 1, cfg.feature_dim))
+        unsplit = rng.standard_normal(126 * pps * hop).astype(np.float32) * 0.1
+        rows = []
+        real = rnn._run_rows
+        monkeypatch.setattr(rnn, "_run_rows", lambda *args: (rows.append(args[-1] - args[-2]),
+                                                             real(*args)))
+        runs = []
+        for count in (1, 2, 3):
+            force_workers(count)
+            runs.append((enhance(model, wave).tobytes(), forward_features(model, feats).tobytes(),
+                         repr(count_forward(model, unsplit))))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert {64, 65, 96, 97} <= set(rows)
+
+    def test_forked_child_runs_a_split(self, force_workers):
+        _, model = build_tiny()
+        wave = np.random.default_rng(6).standard_normal(1024).astype(np.float32) * 0.1  # 129 frames
+        force_workers(2)
+        want = enhance(model, wave).tobytes()
+        assert rnn._POOL is not None  # the split started the pool's thread
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with a thread alive
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write, b"1" if enhance(model, wave).tobytes() == want else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while not os.waitpid(pid, os.WNOHANG)[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's pool threads")
+            time.sleep(0.05)
+        with os.fdopen(read, "rb") as pipe:
+            assert pipe.read() == b"1"
 
 
 def test_canonical_variants_all_buildable():

@@ -1,7 +1,11 @@
 """The stacked LSTM kernel, rearrangement, and the shared pointwise helpers."""
 
+import concurrent.futures
 import math
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -237,6 +241,108 @@ class TestGrouped:
             GroupedLayerWeights(np.ones(8), np.zeros(8), good, np.zeros((8, 3)), np.zeros(8))
         with pytest.raises(ConfigError):  # one group of four directions
             lstm_forward(np.zeros((3, 4)), _random_cell(rng, 4, 3, cells=4))
+
+
+
+class TestRowSplit:
+    """Batch rows split over threads: same bytes, whole shares, no stray writes."""
+
+    @pytest.mark.parametrize("environ, one", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1 "}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
+        ({"MKL_NUM_THREADS": "4"}, False),
+        ({"OMP_NUM_THREADS": ""}, False),
+    ])
+    def test_splits_only_on_one_blas_thread(self, environ, one):
+        # a multi-threaded or unpinned BLAS already uses the CPUs and may sum a row
+        # differently as a GEMM's row count changes, so the kernel keeps one thread there
+        assert rnn._one_blas_thread(environ) is one
+
+    @staticmethod
+    def _record_shares(monkeypatch):
+        shares = []
+        real = rnn._run_rows
+
+        def run_rows(*args):
+            shares.append(args[-2:])
+            real(*args)
+
+        monkeypatch.setattr(rnn, "_run_rows", run_rows)
+        return shares
+
+    @pytest.mark.parametrize("groups, dirs", [(1, 1), (1, 2), (2, 2), (3, 1)])
+    def test_shares_are_bitwise_equal_to_one_thread(self, groups, dirs, force_workers, monkeypatch):
+        rng = np.random.default_rng(30 + 2 * groups + dirs)
+        cells = _random_cell(rng, 5, 6, groups * dirs)
+        shares = self._record_shares(monkeypatch)
+        # 127 rows split nowhere; 129 (odd) split once; 193 leaves a remainder share at 3 workers
+        for b, split in ((127, {2: [(0, 127)], 3: [(0, 127)]}),
+                         (129, {2: [(0, 64), (64, 129)], 3: [(0, 64), (64, 129)]}),
+                         (193, {2: [(0, 96), (96, 193)], 3: [(0, 64), (64, 128), (128, 193)]})):
+            seqs = rng.standard_normal((b, 9, 5 * groups))
+            force_workers(1)
+            one = lstm_forward_batch(seqs, cells)
+            for count in (2, 3):
+                force_workers(count)
+                shares.clear()
+                assert lstm_forward_batch(seqs, cells).tobytes() == one.tobytes()
+                assert sorted(shares) == split[count]
+
+    def test_fewer_than_two_shares_create_no_pool(self, force_workers):
+        cells = _random_cell(np.random.default_rng(40), 3, 4)
+        force_workers(3)
+        lstm_forward_batch(np.zeros((2 * rnn.MIN_SHARE_ROWS - 1, 4, 3)), cells)
+        assert rnn._POOL is None
+        lstm_forward_batch(np.zeros((2 * rnn.MIN_SHARE_ROWS, 4, 3)), cells)
+        assert rnn._POOL is not None
+
+    def test_concurrent_callers_share_one_pool(self, force_workers, monkeypatch):
+        made = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        rng = np.random.default_rng(42)
+        cells = _random_cell(rng, 3, 4, cells=2)
+        seqs = rng.standard_normal((4, 4 * rnn.MIN_SHARE_ROWS, 3, 3))
+        force_workers(1)
+        want = [lstm_forward_batch(s, cells).tobytes() for s in seqs]
+        force_workers(4)  # more threads than this host's CPUs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                got = list(callers.map(lambda k: lstm_forward_batch(seqs[k % 4], cells).tobytes(),
+                                       range(24)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[k % 4] for k in range(24)]
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("failing", [0, 64], ids=["caller", "worker"])
+    def test_error_reaches_caller_after_every_share(self, failing, force_workers, monkeypatch):
+        real = rnn._run_rows
+        finished = []
+
+        def run_rows(*args):
+            lo = args[-2]
+            if lo == failing:
+                raise RuntimeError(f"share at row {lo} failed")
+            time.sleep(0.2)  # outlast the failure
+            real(*args)
+            finished.append(lo)
+
+        monkeypatch.setattr(rnn, "_run_rows", run_rows)
+        force_workers(3)
+        cells = _random_cell(np.random.default_rng(41), 3, 4)
+        with pytest.raises(RuntimeError, match=f"row {failing} failed"):
+            lstm_forward_batch(np.zeros((192, 4, 3)), cells)
+        assert sorted(finished) == sorted({0, 64, 128} - {failing})
 
 
 class TestPointwise:
