@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rnn
 from .errors import ConfigError
 from .rnn import dense, layer_norm
 
@@ -136,13 +137,20 @@ def estimate_mask(features: np.ndarray, weights: tuple, config: BandConfig) -> n
         )
     t = features.shape[1]
     mask = np.empty((config.total_bins, t), dtype=np.complex64)
-    for k, (start, end) in enumerate(config.boundaries):
-        hw = weights[k]
-        x = layer_norm(features[k], hw.norm_gamma, hw.norm_beta)
-        hidden = np.tanh(dense(x, hw.fc1_weight, hw.fc1_bias))
-        y = dense(hidden, hw.fc2_weight, hw.fc2_bias)
-        width = end - start
-        mask[start:end] = (y[:, :width] + 1j * y[:, width:]).T
+
+    # A share may run on a pool thread, so it calls rnn's helpers, not this
+    # module's names: a wrapper put on those (perfbench's tracer, with one span
+    # stack per process) sees calls from the caller's thread only.
+    def run(lo, hi):
+        for k in range(lo, hi):
+            (start, end), hw = config.boundaries[k], weights[k]
+            x = rnn.layer_norm(features[k], hw.norm_gamma, hw.norm_beta)
+            hidden = np.tanh(rnn.dense(x, hw.fc1_weight, hw.fc1_bias))
+            y = rnn.dense(hidden, hw.fc2_weight, hw.fc2_bias)
+            width = end - start
+            mask[start:end] = (y[:, :width] + 1j * y[:, width:]).T
+
+    rnn._split(run, config.num_bands, features.size // rnn.MIN_SHARE_ELEMENTS)
     return mask
 
 

@@ -159,7 +159,9 @@ def cmd_bench(args) -> int:
     print(f"rtf        {wall / args.seconds:.3f}")
     print(f"cost       {report.gps:.2f} G/s analyzed")
     print(f"throughput {report.total / wall / 1e9:.2f} GMAC/s effective")
-    print(f"workers    {rnn._WORKERS} of {rnn._CPUS} CPUs, shares of >= {rnn.MIN_SHARE_ROWS} rows")
+    print(f"workers    {rnn._WORKERS} of {rnn._CPUS} CPUs, shares of >= {rnn.MIN_SHARE_ROWS} "
+          f"RNN rows (gates >= {rnn.MIN_SPLIT_GATES} wide, a multiple of 8) "
+          f"or >= {rnn.MIN_SHARE_ELEMENTS} elements")
     held = weight_arrays(model.weights)
     print(f"weights    {sum(a.nbytes for a in held) / 2**20:.1f} MiB "
           f"{'/'.join(sorted({a.dtype.name for a in held}))} "

@@ -133,13 +133,19 @@ def istft(spec: np.ndarray, config: StftConfig, output_length: int) -> np.ndarra
 
     frames = np.fft.irfft(s.T.astype(np.complex128), n=n_fft, axis=1) * window
     total = n_fft + hop * (n_frames - 1)
-    acc = np.zeros(total)
-    weight = np.zeros(total)
+    # hop-sample chunk c of frame t lands on block t + c of the output. Adding
+    # the chunks from the last offset down sums each sample's terms in frame
+    # order, so the result is bitwise that of a loop over frames.
+    chunks = -(-n_fft // hop)
+    acc = np.zeros((n_frames + chunks - 1, hop))
+    weight = np.zeros(acc.shape)
     sq = window * window
-    for t in range(n_frames):
-        lo = t * hop
-        acc[lo : lo + n_fft] += frames[t]
-        weight[lo : lo + n_fft] += sq
+    for c in range(chunks - 1, -1, -1):
+        lo = c * hop
+        width = min(hop, n_fft - lo)
+        acc[c : c + n_frames, :width] += frames[:, lo : lo + width]
+        weight[c : c + n_frames, :width] += sq[lo : lo + width]
+    acc, weight = acc.reshape(-1)[:total], weight.reshape(-1)[:total]
     nonzero = weight > 1e-10
     acc[nonzero] /= weight[nonzero]
 

@@ -10,6 +10,10 @@ The network computes in float64. A model keeps its weights in the dtype
 they were stored in (float32 from a weights file), and the kernels upcast
 them to float64 at use, which is exact, so every sum is as in float64.
 
+Threads: :func:`_split` runs the kernel's batch rows, the first axis of a
+3-D :func:`layer_norm` or :func:`dense`, and the mask head's bands in
+shares over the CPUs, with outputs bitwise those of one thread.
+
 Stacked cell layout: all cells of one RNN sublayer, g groups of one or two
 directions, live in one :class:`LstmWeights` whose arrays carry a leading
 cell axis of length C = g * dirs in (group, direction) order. Cell
@@ -43,11 +47,23 @@ PROJECTION_ROWS = 512
 #: rows per :func:`layer_norm` variance block; each row reduces alone, so blocks change no bit
 _NORM_ROWS = 256
 
-#: fewest batch rows in one thread's share of a :func:`lstm_forward_batch`
-#: call. A smaller share pays a whole time loop's per-step overhead for little
-#: arithmetic, and GEMMs that small may take a BLAS small-matrix path whose
-#: sums differ in the last bit from the whole batch's.
-MIN_SHARE_ROWS = 64
+#: fewest batch rows in one share of a :func:`lstm_forward_batch` call. A
+#: smaller share pays a whole time loop's per-step overhead for little
+#: arithmetic: on one BLAS thread and two CPUs, 48-94 rows ran 1.1-1.8x
+#: faster split in two, 24-32 rows 0.76-0.99x.
+MIN_SHARE_ROWS = 24
+#: narrowest cell gate width (4 x the cell's hidden dim) :func:`lstm_forward_batch`
+#: splits; the width must also be a multiple of 8. Other GEMMs may take a BLAS
+#: small-matrix path whose row sums depend on the row count: on one OpenBLAS
+#: thread a sweep found mismatches at widths of 16 or less and at every odd h
+#: from 21 to 45, and none at even h from 8 to 72.
+MIN_SPLIT_GATES = 32
+#: fewest elements in one share of a 3-D :func:`layer_norm` or :func:`dense`
+#: output or of :func:`bsrnnlite.bands.estimate_mask`'s input. Split in two on
+#: two CPUs, norms and projections ran 1.3x or faster from 2 x 2**16
+#: elements, norms of 2**16 to 2**17 elements 0.74-1.06x, and the mask head
+#: of 19 frames (55k elements) 0.77x.
+MIN_SHARE_ELEMENTS = 2**16
 
 
 def _cpu_count() -> int:
@@ -69,12 +85,14 @@ def _one_blas_thread(environ=os.environ) -> bool:
 
 #: CPUs this process may run on
 _CPUS = _cpu_count()
-#: threads one kernel call may use: every CPU when each GEMM runs on one BLAS
+#: threads one split call may use: every CPU when each GEMM runs on one BLAS
 #: thread, else one, as a multi-threaded BLAS already uses the CPUs and its row
 #: sums may depend on the GEMM's row count
 _WORKERS = _CPUS if _one_blas_thread() else 1
 _POOL = None
 _POOL_LOCK = threading.Lock()
+#: ``.share`` is true while this thread runs a share of a split call
+_LOCAL = threading.local()
 
 
 def _pool():
@@ -99,22 +117,92 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _split(run, n: int, shares: int) -> None:
+    """Run ``run(lo, hi)`` over contiguous shares of ``range(n)``, at most one per worker.
+
+    ``shares`` is the most the caller's floor allows. The calling thread runs
+    the first share and the pool the rest; each share writes its slice of an
+    output the caller allocated. A split call made inside a share runs inline:
+    with two workers the pool has one thread, so a nested wait could deadlock.
+    """
+    shares = min(_WORKERS, shares, n)
+    if shares < 2 or getattr(_LOCAL, "share", False):
+        run(0, n)
+        return
+    from concurrent.futures import wait
+
+    bounds = [n * k // shares for k in range(shares + 1)]
+    pool = _pool()
+    futures = [pool.submit(_share, run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        _share(run, 0, bounds[1])
+    finally:
+        # no thread may still write into the output once this call ends, even by raising
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _share(run, lo, hi):
+    _LOCAL.share = True
+    try:
+        run(lo, hi)
+    finally:
+        _LOCAL.share = False
+
+
+def _row_major(weight: np.ndarray) -> np.ndarray:
+    """``weight`` with its last two axes swapped, as a C-contiguous float64 copy.
+
+    On one OpenBLAS thread, ``[23 x 72] @ [72 x 288]`` (a time-RNN step) and
+    ``[23 x 144] @ [144 x 126]`` (a band-orientation projection) ran 1.6x
+    and 1.7x faster on row-major operands than on a transposed view, with
+    the same sums; GEMMs of 313 rows or more ran within 6%.
+    """
+    return np.ascontiguousarray(weight.swapaxes(-1, -2), dtype=np.float64)
+
+
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Normalize over the last axis, then apply the affine (gamma, beta)."""
+    """Normalize over the last axis, then apply the affine (gamma, beta).
+
+    A 3-D input is split over its first axis (:func:`_split`); every row
+    reduces alone, so shares change no bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.subtract(x, x.mean(axis=-1, keepdims=True), out=np.empty(x.shape))
-    rows = out.reshape(-1, out.shape[-1])
-    for block in (rows[i : i + _NORM_ROWS] for i in range(0, len(rows), _NORM_ROWS)):
-        block /= np.sqrt(np.square(block).mean(axis=-1, keepdims=True) + LN_EPSILON)
-    out *= gamma
-    out += beta
+    out = np.empty(x.shape)
+
+    def run(lo, hi):
+        part = np.subtract(x[lo:hi], x[lo:hi].mean(axis=-1, keepdims=True), out=out[lo:hi])
+        rows = part.reshape(-1, part.shape[-1])
+        for block in (rows[i : i + _NORM_ROWS] for i in range(0, len(rows), _NORM_ROWS)):
+            block /= np.sqrt(np.square(block).mean(axis=-1, keepdims=True) + LN_EPSILON)
+        part *= gamma
+        part += beta
+
+    _split(run, len(x), out.size // MIN_SHARE_ELEMENTS if x.ndim == 3 else 1)
     return out
 
 
 def dense(x, weight, bias):
-    """Affine map on the last axis: ``x @ weight.T + bias``, ``weight`` ``[out x in]``."""
-    out = x @ weight.astype(np.float64, copy=False).T
-    out += bias
+    """Affine map on the last axis: ``x @ weight.T + bias``, ``weight`` ``[out x in]``.
+
+    A 3-D input runs one GEMM per slice of its first axis, as ``matmul``
+    does, on a row-major copy of ``weight``, and is split over that axis
+    (:func:`_split`). A 2-D input runs one GEMM of all its rows, which a
+    transposed copy would not speed up.
+    """
+    if x.ndim != 3:
+        out = x @ weight.astype(np.float64, copy=False).T
+        out += bias
+        return out
+    weight = _row_major(weight)
+    out = np.empty(x.shape[:-1] + weight.shape[1:])
+
+    def run(lo, hi):
+        np.matmul(x[lo:hi], weight, out=out[lo:hi])
+        out[lo:hi] += bias
+
+    _split(run, len(x), out.size // MIN_SHARE_ELEMENTS)
     return out
 
 
@@ -193,42 +281,24 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights):
     steps that use it; only the recurrent matmul runs per step, one for all
     cells.
 
-    The rows are independent sequences. When the BLAS thread variables pin
-    each GEMM to one thread, a batch of at least ``2 * MIN_SHARE_ROWS`` rows
-    is split into contiguous shares of at least :data:`MIN_SHARE_ROWS` rows,
-    at most one per CPU. The caller's thread runs the first share and a
-    thread pool the rest, each writing its rows of the one output. On one
-    BLAS thread a GEMM of that many rows gives each row the same sums
-    whatever its row count, so the output is bitwise equal to one thread's;
-    a multi-threaded BLAS does not promise that, and nothing splits there.
+    The rows are independent sequences, split over threads by :func:`_split`
+    into shares of at least :data:`MIN_SHARE_ROWS` rows when the cells' gates
+    are at least :data:`MIN_SPLIT_GATES` wide and a multiple of 8 wide (h
+    even). On one BLAS thread such a GEMM gives each row the same sums
+    whatever its row count, so the output is bitwise equal to one thread's.
     """
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
     i, h = cells.input_dim, cells.hidden_dim
-    # upcast once, then transpose: BLAS sees the float64 layout, the loop casts nothing
+    # upcast once: the loop casts nothing. The recurrent matmul, as few rows as
+    # the batch, runs on a row-major copy; the projection's blocks are large.
     weights = (cells.w_input.astype(np.float64, copy=False).transpose(0, 2, 1),
-               cells.w_hidden.astype(np.float64, copy=False).transpose(0, 2, 1),
-               cells.bias.astype(np.float64, copy=False)[:, None])
+               _row_major(cells.w_hidden), cells.bias.astype(np.float64, copy=False)[:, None])
     # [dirs x h x groups] per position is the rearranged (group-shuffled) channel order
     out = np.empty((b, t, dirs, h, groups))
     run = partial(_run_rows, seqs.reshape(b, t, groups, i), out, weights,
                   max(1, PROJECTION_ROWS // max(b, 1)))
-    shares = min(_WORKERS, b // MIN_SHARE_ROWS)
-    if shares < 2:
-        run(0, b)
-    else:
-        from concurrent.futures import wait
-
-        bounds = [b * k // shares for k in range(shares + 1)]
-        pool = _pool()
-        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        try:
-            run(0, bounds[1])
-        finally:
-            # no thread may still write into ``out`` once this call ends, even by raising
-            wait(futures)
-        for future in futures:
-            future.result()
+    _split(run, b, b // MIN_SHARE_ROWS if 4 * h >= MIN_SPLIT_GATES and h % 2 == 0 else 1)
     return out.reshape(b, t, dirs * h * groups)
 
 

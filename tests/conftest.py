@@ -40,3 +40,15 @@ def force_workers(monkeypatch):
 
     yield force
     drop_own_pool()
+
+
+@pytest.fixture
+def split_shares(monkeypatch):
+    """The ``(lo, hi)`` of every share ``rnn._split`` hands out, in call order."""
+    from bsrnnlite import rnn
+
+    shares = []
+    real = rnn._share
+    monkeypatch.setattr(rnn, "_share", lambda run, lo, hi: (shares.append((lo, hi)),
+                                                           real(run, lo, hi)))
+    return shares

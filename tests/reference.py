@@ -148,3 +148,22 @@ def dft_frame(frame):
                                       -math.sin(2 * math.pi * k * t / n))
         bins.append(acc)
     return np.array(bins)
+
+
+def loop_istft(spec, config, output_length):
+    """Weighted overlap-add inverse STFT, one frame at a time."""
+    n_fft, hop = config.fft_size, config.hop_size
+    window = config.window_array()
+    n_frames = spec.shape[1]
+    frames = np.fft.irfft(np.asarray(spec).T.astype(np.complex128), n=n_fft, axis=1) * window
+    total = n_fft + hop * (n_frames - 1)
+    acc = np.zeros(total)
+    weight = np.zeros(total)
+    for t in range(n_frames):
+        lo = t * hop
+        acc[lo : lo + n_fft] += frames[t]
+        weight[lo : lo + n_fft] += window * window
+    nonzero = weight > 1e-10
+    acc[nonzero] /= weight[nonzero]
+    out = acc[n_fft // 2 : n_fft // 2 + output_length]
+    return np.pad(out, (0, output_length - out.size)).astype(np.float32)

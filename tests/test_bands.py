@@ -145,6 +145,25 @@ class TestMaskHead:
             want = (y[:, :width] + 1j * y[:, width:]).T
             assert np.max(np.abs(mask[start:end] - want)) < 1e-6
 
+    def test_bands_split_over_workers_bitwise(self, force_workers, split_shares):
+        # canonical features are [23 x T x 126]: 22 frames split nowhere, 46 once, 68 into
+        # 7/8/8 bands at 3 workers
+        rng = np.random.default_rng(8)
+        layout = canonical_bands(257)
+        w = _head_weights(rng, layout, 126, 504)
+        for frames, split in ((22, {1: [], 2: [], 3: []}), (46, {1: [], 2: [11, 12], 3: [11, 12]}),
+                              (68, {1: [], 2: [11, 12], 3: [7, 8, 8]})):
+            feats = rng.standard_normal((23, frames, 126))
+            runs = []
+            for count in (1, 2, 3):
+                force_workers(1)
+                estimate_mask(-feats, w, layout)  # other bytes in every row of a buffer it frees
+                force_workers(count)
+                split_shares.clear()
+                runs.append(estimate_mask(feats, w, layout).tobytes())
+                assert sorted(hi - lo for lo, hi in split_shares) == split[count]
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+
 
 class TestApplyMask:
     def test_ones_mask_is_identity(self):

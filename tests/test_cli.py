@@ -250,7 +250,8 @@ class TestBenchAndCalibrate:
         assert "rtf" in out and "GMAC/s" in out
         params = sum(int(np.prod(shape)) for shape in expected_tensors(tiny_config()).values())
         assert out.splitlines()[-2:] == [
-            f"workers    3 of {rnn._CPUS} CPUs, shares of >= 64 rows",
+            f"workers    3 of {rnn._CPUS} CPUs, shares of >= 24 RNN rows "
+            "(gates >= 32 wide, a multiple of 8) or >= 65536 elements",
             f"weights    {4 * params / 2**20:.1f} MiB float32 ({params} parameters)",
         ]
 

@@ -6,7 +6,7 @@ import pytest
 from bsrnnlite import AudioFormatError, ConfigError, OaConfig, StftConfig
 from bsrnnlite import istft, observation_add, stft
 
-from reference import dft_frame
+from reference import dft_frame, loop_istft
 
 
 def _rel_err(a, b):
@@ -110,6 +110,21 @@ class TestRoundTrip:
         long = istft(spec, cfg, 400)
         assert long.shape == (400,)
         assert not long[300:].any()
+
+    @pytest.mark.parametrize("fft, hop", [(512, 256), (32, 8), (512, 200), (64, 27), (8, 3)])
+    @pytest.mark.parametrize("frames", [1, 2, 7, 63])
+    def test_overlap_add_matches_frame_loop_bitwise(self, fft, hop, frames):
+        # 200, 27 and 3 do not divide the frame, so the last chunk of each frame is short
+        cfg = StftConfig(fft_size=fft, hop_size=hop)
+        rng = np.random.default_rng(fft + hop + frames)
+        spec = (rng.standard_normal((cfg.frequency_bins, frames))
+                + 1j * rng.standard_normal((cfg.frequency_bins, frames))).astype(np.complex64)
+        if fft == 4 * hop:
+            # DC of +-2**40 in turn: four overlapping Hann frames cancel it, so the rounding
+            # of the float64 sum, which depends on the order of its terms, shows in float32
+            spec[0] += (-1.0) ** np.arange(frames) * 2.0**40 * fft
+        for length in (1, hop * frames, fft + hop * frames):
+            assert istft(spec, cfg, length).tobytes() == loop_istft(spec, cfg, length).tobytes()
 
     def test_shape_mismatch_rejected(self):
         cfg = StftConfig()

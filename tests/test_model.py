@@ -359,18 +359,19 @@ class TestEnhance:
 
 
 class TestThreadSplit:
-    """The band RNN's frames split over threads; every output byte stays the same."""
+    """Frames, bands and rows split over threads; every output byte stays the same."""
 
     @pytest.mark.parametrize("cfg", _VARIANTS, ids=lambda cfg: cfg.name)
     def test_one_two_and_three_workers_agree_bitwise(self, cfg, force_workers, monkeypatch):
         model = build(cfg, gen_weights(cfg, seed=0))
         rng = np.random.default_rng(5)
-        # band-RNN rows are the frames the stack runs at: 129 (odd) split once, 193 split
-        # 96/97 at 2 workers and 64/64/65 at 3, 127 not at all
+        # the stack runs at 11, 49 and 97 frames. At 11 nothing splits. At 49 the band RNN
+        # splits 24/25 and the norms and projections once. At 97 it splits 48/49 at 2
+        # workers and 32/32/33 at 3, and the norms over the bands 7/8/8.
         pps, hop = cfg.plan[0], cfg.stft.hop_size
-        wave = rng.standard_normal(128 * pps * hop).astype(np.float32) * 0.1
-        feats = rng.standard_normal((cfg.num_bands, 192 * pps + 1, cfg.feature_dim))
-        unsplit = rng.standard_normal(126 * pps * hop).astype(np.float32) * 0.1
+        waves = [rng.standard_normal(frames * pps * hop).astype(np.float32) * 0.1
+                 for frames in (10, 48, 96)]
+        feats = rng.standard_normal((cfg.num_bands, 97 * pps, cfg.feature_dim))
         rows = []
         real = rnn._run_rows
         monkeypatch.setattr(rnn, "_run_rows", lambda *args: (rows.append(args[-1] - args[-2]),
@@ -378,13 +379,14 @@ class TestThreadSplit:
         runs = []
         for count in (1, 2, 3):
             force_workers(count)
-            runs.append((enhance(model, wave).tobytes(), forward_features(model, feats).tobytes(),
-                         repr(count_forward(model, unsplit))))
+            runs.append(([enhance(model, wave).tobytes() for wave in waves],
+                         forward_features(model, feats).tobytes(),
+                         repr(count_forward(model, waves[1]))))
         assert runs[1] == runs[0] and runs[2] == runs[0]
-        assert {64, 65, 96, 97} <= set(rows)
+        assert {24, 25, 32, 33, 48, 49} <= set(rows)
 
     def test_forked_child_runs_a_split(self, force_workers):
-        _, model = build_tiny()
+        _, model = build_tiny(hidden_dim=8)  # gates 32 wide: the band RNN splits
         wave = np.random.default_rng(6).standard_normal(1024).astype(np.float32) * 0.1  # 129 frames
         force_workers(2)
         want = enhance(model, wave).tobytes()

@@ -2,7 +2,11 @@
 
 import concurrent.futures
 import math
+import os
+import subprocess
 import sys
+import textwrap
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +20,8 @@ from bsrnnlite.rnn import dense, layer_norm, lstm_forward_batch, rearrange
 
 from reference import naive_lstm_forward
 from util import compose_by_hand, lstm_forward, one_cell
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _random_cell(rng, in_dim, hidden_dim, cells=1):
@@ -275,12 +281,12 @@ class TestRowSplit:
     @pytest.mark.parametrize("groups, dirs", [(1, 1), (1, 2), (2, 2), (3, 1)])
     def test_shares_are_bitwise_equal_to_one_thread(self, groups, dirs, force_workers, monkeypatch):
         rng = np.random.default_rng(30 + 2 * groups + dirs)
-        cells = _random_cell(rng, 5, 6, groups * dirs)
+        cells = _random_cell(rng, 5, 8, groups * dirs)
         shares = self._record_shares(monkeypatch)
-        # 127 rows split nowhere; 129 (odd) split once; 193 leaves a remainder share at 3 workers
-        for b, split in ((127, {2: [(0, 127)], 3: [(0, 127)]}),
-                         (129, {2: [(0, 64), (64, 129)], 3: [(0, 64), (64, 129)]}),
-                         (193, {2: [(0, 96), (96, 193)], 3: [(0, 64), (64, 128), (128, 193)]})):
+        # 47 rows split nowhere; 49 (odd) split once; 73 leaves a remainder share at 3 workers
+        for b, split in ((47, {2: [(0, 47)], 3: [(0, 47)]}),
+                         (49, {2: [(0, 24), (24, 49)], 3: [(0, 24), (24, 49)]}),
+                         (73, {2: [(0, 36), (36, 73)], 3: [(0, 24), (24, 48), (48, 73)]})):
             seqs = rng.standard_normal((b, 9, 5 * groups))
             force_workers(1)
             one = lstm_forward_batch(seqs, cells)
@@ -291,12 +297,56 @@ class TestRowSplit:
                 assert sorted(shares) == split[count]
 
     def test_fewer_than_two_shares_create_no_pool(self, force_workers):
-        cells = _random_cell(np.random.default_rng(40), 3, 4)
+        cells = _random_cell(np.random.default_rng(40), 3, 8)
         force_workers(3)
         lstm_forward_batch(np.zeros((2 * rnn.MIN_SHARE_ROWS - 1, 4, 3)), cells)
         assert rnn._POOL is None
         lstm_forward_batch(np.zeros((2 * rnn.MIN_SHARE_ROWS, 4, 3)), cells)
         assert rnn._POOL is not None
+
+    @pytest.mark.parametrize("hidden", [4, 7, 9], ids=lambda h: f"h{h}")
+    def test_narrow_or_odd_gates_never_split(self, hidden, force_workers):
+        # gate widths 16, 28 and 36: below 32, or not a multiple of 8
+        cells = _random_cell(np.random.default_rng(43), 3, hidden)
+        force_workers(3)
+        lstm_forward_batch(np.zeros((200, 2, 3)), cells)
+        assert rnn._POOL is None
+
+    def test_bitwise_over_a_shape_grid_on_one_blas_thread(self):
+        # a subprocess, so the BLAS starts pinned to one thread whatever this process runs
+        script = textwrap.dedent("""
+            import itertools
+            import numpy as np
+            from bsrnnlite import rnn
+            from bsrnnlite.rnn import LstmWeights, lstm_forward_batch
+            rng = np.random.default_rng(0)
+            split = bad = 0
+            starts, real = [], rnn._run_rows
+            rnn._run_rows = lambda *args: (starts.append(args[-2]), real(*args))
+            for h, i, (g, d) in itertools.product(
+                    (1, 2, 3, 4, 5, 8, 10, 12, 14, 18, 21, 36, 37, 72), (5, 126, 252),
+                    ((1, 1), (1, 2), (2, 2), (4, 1))):
+                cells = LstmWeights(*(rng.uniform(-1, 1, (g * d, 4 * h) + tail).astype(np.float32)
+                                      for tail in ((i,), (h,), ())))
+                for b in (48, 73, 193, 626):
+                    seqs = rng.standard_normal((b, 3, g * i))
+                    rnn._WORKERS = 1
+                    one = lstm_forward_batch(seqs, cells).tobytes()
+                    for workers in (2, 3):
+                        rnn._WORKERS = workers
+                        starts.clear()
+                        bad += lstm_forward_batch(seqs, cells).tobytes() != one
+                        split += max(starts) > 0
+            print(split, bad)
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        split, bad = map(int, done.stdout.split())
+        # h = 8, 10, 12, 14, 18, 36 and 72 split at every i, layout, batch and worker count
+        assert (split, bad) == (7 * 3 * 4 * 4 * 2, 0)
 
     def test_concurrent_callers_share_one_pool(self, force_workers, monkeypatch):
         made = []
@@ -308,7 +358,7 @@ class TestRowSplit:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
         rng = np.random.default_rng(42)
-        cells = _random_cell(rng, 3, 4, cells=2)
+        cells = _random_cell(rng, 3, 8, cells=2)
         seqs = rng.standard_normal((4, 4 * rnn.MIN_SHARE_ROWS, 3, 3))
         force_workers(1)
         want = [lstm_forward_batch(s, cells).tobytes() for s in seqs]
@@ -339,10 +389,61 @@ class TestRowSplit:
 
         monkeypatch.setattr(rnn, "_run_rows", run_rows)
         force_workers(3)
-        cells = _random_cell(np.random.default_rng(41), 3, 4)
+        cells = _random_cell(np.random.default_rng(41), 3, 8)
         with pytest.raises(RuntimeError, match=f"row {failing} failed"):
             lstm_forward_batch(np.zeros((192, 4, 3)), cells)
         assert sorted(finished) == sorted({0, 64, 128} - {failing})
+
+
+class TestHelperSplit:
+    """``layer_norm`` and 3-D ``dense`` split over their first axis: same bytes."""
+
+    @pytest.mark.parametrize("frames", [22, 46, 91], ids=lambda t: f"T{t}")
+    def test_norm_and_dense_bitwise_at_one_two_and_three_workers(self, frames, force_workers,
+                                                                 split_shares):
+        # [23 x T x 126] with 2**16-element shares: 22 frames split nowhere, 46 once, 91
+        # into 7/8/8 bands at 3 workers
+        rng = np.random.default_rng(23 + frames)
+        x = rng.standard_normal((23, frames, 126))
+        gamma, beta = rng.standard_normal((2, 126))
+        w, b = rng.standard_normal((126, 144)).astype(np.float32), rng.standard_normal(126)
+        hidden = rng.standard_normal((frames, 23, 144))
+        calls = (lambda: layer_norm(x, gamma, beta),
+                 lambda: layer_norm(x.transpose(1, 0, 2), gamma, beta),
+                 lambda: dense(hidden, w, b),
+                 lambda: dense(x[:, :, :72], w[:, :72], b))
+        force_workers(1)
+        want = [call().tobytes() for call in calls]
+        for count in (2, 3):
+            force_workers(count)
+            assert [call().tobytes() for call in calls] == want
+        sizes = {hi - lo for lo, hi in split_shares}
+        assert bool(sizes) is (frames > 22)
+        if frames == 91:
+            assert {7, 8} <= sizes
+
+    def test_split_inside_a_share_runs_inline(self, force_workers, split_shares):
+        # with two workers the pool has one thread: a share that waited on a nested split
+        # could wait for itself
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((4, 300, 126))  # 151,200 elements: two shares on its own
+        gamma, beta = rng.standard_normal((2, 126))
+        force_workers(1)
+        want = layer_norm(x, gamma, beta).tobytes()
+        force_workers(2)
+        split_shares.clear()
+        got = {}
+
+        def outer(lo, hi):
+            for k in range(lo, hi):
+                got[k] = (threading.get_ident(), layer_norm(x, gamma, beta).tobytes())
+
+        caller = threading.Thread(target=rnn._split, args=(outer, 2, 2), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a nested split waited on the pool"
+        assert sorted(split_shares) == [(0, 1), (1, 2)]  # the two outer shares, nothing nested
+        assert got[0][0] != got[1][0] and {got[0][1], got[1][1]} == {want}
 
 
 class TestPointwise:
@@ -393,6 +494,14 @@ class TestPointwise:
             tracemalloc.stop()
         block = rnn._NORM_ROWS * 126 * 8
         assert peak <= x.nbytes + block + 64 * 1024
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_is_x_times_weight_transposed_plus_bias(self, dtype):
+        rng = np.random.default_rng(22)
+        w, b = rng.standard_normal((126, 144)).astype(dtype), rng.standard_normal(126)
+        for x in (rng.standard_normal((9, 144)), rng.standard_normal((3, 23, 144))):
+            want = x @ w.astype(np.float64).T + b
+            assert np.max(np.abs(dense(x, w, b) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_dense_matches_manual_and_counts(self):
         rng = np.random.default_rng(18)
