@@ -12,13 +12,13 @@ from bsrnnlite.resample import downsample_t, reduced_frames, upsample_t
 
 
 def describe(label, strategy, num_layers=6):
-    plan = plan_resampling(strategy, num_layers)
+    pps_factor, pairs = plan_resampling(strategy, num_layers)
     marks = []
-    for i, (band_factor, time_factor) in enumerate(plan.layers, start=1):
+    for i, (band_factor, time_factor) in enumerate(pairs, start=1):
         b = "B" if band_factor > 1 else "-"
         t = "T" if time_factor > 1 else "-"
         marks.append(f"{i}:{b}{t}")
-    wrap = f" pps x{plan.pps_factor}" if plan.pps_factor > 1 else ""
+    wrap = f" pps x{pps_factor}" if pps_factor > 1 else ""
     print(f"  {label:<14} {' '.join(marks)}{wrap}")
 
 

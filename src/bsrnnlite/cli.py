@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import configio, macs, rnn, wavio, weights_io
+from . import configio, macs, model, rnn, wavio, weights_io
 from .dsp import OaConfig
 from .errors import AudioFormatError, ConfigError, WeightsFormatError
 from .model import build, preset_names, weight_arrays
@@ -44,19 +43,17 @@ def _load_model(config_spec: str, weights_path: str):
     return build(config, arrays)
 
 
-def _enhance_one(model, src: Path, dst: Path, oa: OaConfig | None) -> None:
+def _enhance_one(net, src: Path, dst: Path, oa: OaConfig | None) -> None:
     samples, rate, fmt = wavio.read_wav(src)
-    expected = model.config.stft.sample_rate
+    expected = net.config.stft.sample_rate
     if rate != expected:
         raise AudioFormatError(f"{src}: sample rate {rate}, model expects {expected}")
-    from .model import enhance  # local import keeps module load light
-
-    out = enhance(model, samples, oa=oa)
+    out = model.enhance(net, samples, oa=oa)
     wavio.write_wav(dst, out, rate, fmt)
 
 
 def cmd_enhance(args) -> int:
-    model = _load_model(args.config, args.weights)
+    net = _load_model(args.config, args.weights)
     oa = None if args.oa is None else OaConfig(args.oa)
     src = Path(args.input)
     dst = Path(args.output)
@@ -66,10 +63,10 @@ def cmd_enhance(args) -> int:
             raise AudioFormatError(f"no wav files in {src}")
         dst.mkdir(parents=True, exist_ok=True)
         for wav in wavs:
-            _enhance_one(model, wav, dst / wav.name, oa)
+            _enhance_one(net, wav, dst / wav.name, oa)
             print(f"{wav.name}: ok")
     else:
-        _enhance_one(model, src, dst, oa)
+        _enhance_one(net, src, dst, oa)
         print(f"{dst}: ok")
     return EXIT_OK
 
@@ -131,29 +128,26 @@ def cmd_gen_weights(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not (math.isfinite(args.seconds) and args.seconds > 0):
-        raise ConfigError(f"--seconds must be finite and positive, got {args.seconds}")
     if args.runs < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     config = configio.load_config(args.config)
+    report = macs.analyze(config, args.seconds)  # also rejects a duration under one sample
     if args.weights is not None:
         arrays, _meta = weights_io.load_weights(args.weights)
     else:
         arrays = weights_io.gen_weights(config, seed=0)
-    model = build(config, arrays)
-    from .model import enhance
+    net = build(config, arrays)
 
     rng = np.random.default_rng(0)
     n = int(round(args.seconds * config.stft.sample_rate))
     noisy = rng.standard_normal(n).astype(np.float32) * np.float32(0.1)
-    enhance(model, noisy)  # warm-up
+    model.enhance(net, noisy)  # warm-up
     times = []
     for _ in range(args.runs):
         t0 = time.perf_counter()
-        enhance(model, noisy)
+        model.enhance(net, noisy)
         times.append(time.perf_counter() - t0)
     wall = sorted(times)[len(times) // 2]
-    report = macs.analyze(config, args.seconds)
     print(f"audio      {args.seconds:g} s")
     print(f"wall       {wall:.3f} s (median of {args.runs})")
     print(f"rtf        {wall / args.seconds:.3f}")
@@ -162,7 +156,7 @@ def cmd_bench(args) -> int:
     print(f"workers    {rnn._WORKERS} of {rnn._CPUS} CPUs, shares of >= {rnn.MIN_SHARE_ROWS} "
           f"RNN rows (gates >= {rnn.MIN_SPLIT_GATES} wide, a multiple of 8) "
           f"or >= {rnn.MIN_SHARE_ELEMENTS} elements")
-    held = weight_arrays(model.weights)
+    held = weight_arrays(net.weights)
     print(f"weights    {sum(a.nbytes for a in held) / 2**20:.1f} MiB "
           f"{'/'.join(sorted({a.dtype.name for a in held}))} "
           f"({sum(a.size for a in held)} parameters)")
@@ -217,10 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="cost table of variants vs a base config")
     p.add_argument("--base", default=None, help="base config (default: canonical baseline)")
-    p.add_argument("--variants", default=None,
-                   help="directory of *.json variant configs (default: built-in chain)")
-    p.add_argument("--extended", action="store_true",
-                   help="with the built-in chain, include every strategy row")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--variants", default=None,
+                      help="directory of *.json variant configs (default: built-in chain)")
+    rows.add_argument("--extended", action="store_true",
+                      help="with the built-in chain, include every strategy row")
     p.add_argument("--duration", type=float, default=1.0)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")

@@ -42,42 +42,31 @@ from .prune import SbpStrategy
 from .resample import LwrStrategy
 
 
-def config_to_dict(config: ModelConfig) -> dict:
-    lwr: dict = {"kind": config.resample.kind}
-    if config.resample.kind != "none":
-        lwr["factor"] = config.resample.factor
-    if config.resample.target_layers is not None:
-        lwr["target_layers"] = list(config.resample.target_layers)
-    sbp: dict = {"kind": config.prune.kind}
-    if config.prune.skip_bands is not None:
-        sbp["skip_bands"] = config.prune.skip_bands
-    return {
-        "name": config.name,
-        "stft": {
-            "sample_rate": config.stft.sample_rate,
-            "fft_size": config.stft.fft_size,
-            "hop_size": config.stft.hop_size,
-            "window": config.stft.window,
-        },
-        "bands": [list(b) for b in config.bands.boundaries],
-        "feature_dim": config.feature_dim,
-        "hidden_dim": config.hidden_dim,
-        "num_layers": config.num_layers,
-        "group_size": config.group_size,
-        "lwr": lwr,
-        "sbp": sbp,
-        "time_rnn_causal": config.time_rnn_causal,
-        "band_rnn_bidirectional": config.band_rnn_bidirectional,
-        "mask_hidden_ratio": config.mask_hidden_ratio,
-    }
-
-
 _TOP = {"name": str, "stft": dict, "bands": list, "feature_dim": int, "hidden_dim": int,
         "num_layers": int, "group_size": int, "lwr": dict, "sbp": dict,
         "time_rnn_causal": bool, "band_rnn_bidirectional": bool, "mask_hidden_ratio": int}
 _STFT = {"sample_rate": int, "fft_size": int, "hop_size": int, "window": str}
 _LWR = {"kind": str, "factor": int, "target_layers": list}
 _SBP = {"kind": str, "skip_bands": int}
+
+
+def _strategy_dict(strategy, spec: dict) -> dict:
+    """A strategy's set fields; kind "none" has no factor to write."""
+    doc = {key: getattr(strategy, key) for key in spec}
+    if doc["kind"] == "none":
+        doc.pop("factor", None)
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items() if v is not None}
+
+
+def config_to_dict(config: ModelConfig) -> dict:
+    """The document of ``config``: the fields of ``_TOP``, in that order."""
+    by_hand = {
+        "stft": {key: getattr(config.stft, key) for key in _STFT},
+        "bands": [list(b) for b in config.bands.boundaries],
+        "lwr": _strategy_dict(config.resample, _LWR),
+        "sbp": _strategy_dict(config.prune, _SBP),
+    }
+    return {key: by_hand[key] if key in by_hand else getattr(config, key) for key in _TOP}
 
 
 def _typed(value, kind, path: str, source: str):
@@ -121,17 +110,14 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ModelConfig:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{source}: bands must be [start, end] pairs, got bands[{k}] = {pair!r}")
         bounds.append(_int_list(pair, f"bands[{k}]", source))
-    lwr = _fields(top.pop("lwr", {"kind": "none"}), _LWR, ("kind",), "lwr", source)
-    targets = lwr.get("target_layers")
-    resample = LwrStrategy(
-        kind=lwr["kind"],
-        factor=lwr.get("factor", 1),
-        target_layers=None if targets is None else _int_list(targets, "lwr.target_layers", source),
-    )
-    sbp = _fields(top.pop("sbp", {"kind": "none"}), _SBP, ("kind",), "sbp", source)
-    prune = SbpStrategy(kind=sbp["kind"], skip_bands=sbp.get("skip_bands"))
-    return ModelConfig(stft=stft, bands=BandConfig(tuple(bounds)), resample=resample,
-                       prune=prune, **top)
+    if "lwr" in top:
+        lwr = _fields(top.pop("lwr"), _LWR, ("kind",), "lwr", source)
+        if "target_layers" in lwr:
+            lwr["target_layers"] = _int_list(lwr["target_layers"], "lwr.target_layers", source)
+        top["resample"] = LwrStrategy(**lwr)
+    if "sbp" in top:
+        top["prune"] = SbpStrategy(**_fields(top.pop("sbp"), _SBP, ("kind",), "sbp", source))
+    return ModelConfig(stft=stft, bands=BandConfig(tuple(bounds)), **top)
 
 
 def load_config(spec: str | Path) -> ModelConfig:

@@ -93,15 +93,13 @@ def stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:
         raise AudioFormatError("non-finite samples in input")
 
     n_fft = config.fft_size
-    hop = config.hop_size
     if x.size < n_fft:
         x = np.pad(x, (0, n_fft - x.size))
-    core_len = x.size
     x = np.pad(x, n_fft // 2, mode="reflect")
 
-    n_frames = 1 + core_len // hop
-    starts = hop * np.arange(n_frames)[:, None]
-    frames = x[starts + np.arange(n_fft)[None, :]] * config.window_array()
+    # a signal of n samples, padded, holds n + 1 windows; 1 + n // hop are frames
+    windows = np.lib.stride_tricks.sliding_window_view(x, n_fft)
+    frames = windows[::config.hop_size] * config.window_array()
     return np.fft.rfft(frames, axis=1).T.astype(np.complex64)
 
 

@@ -86,10 +86,10 @@ class ModelConfig:
         if self.mask_hidden_ratio < 1:
             raise ConfigError(f"mask_hidden_ratio must be >= 1, got {self.mask_hidden_ratio}")
         self.bands.validate_for_bins(self.stft.frequency_bins)
-        lwr = plan_resampling(self.resample, self.num_layers)
+        pps_factor, pairs = plan_resampling(self.resample, self.num_layers)
         skips = prune_schedule(self.prune, self.num_layers, self.bands.num_bands)
-        rows = tuple(factors + (skip,) for factors, skip in zip(lwr.layers, skips))
-        object.__setattr__(self, "plan", (lwr.pps_factor, rows))
+        rows = tuple(pair + (skip,) for pair, skip in zip(pairs, skips))
+        object.__setattr__(self, "plan", (pps_factor, rows))
 
     @property
     def num_bands(self) -> int:

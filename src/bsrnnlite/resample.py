@@ -75,22 +75,15 @@ class LwrStrategy:
         return cls("async", factor)
 
 
-@dataclass(frozen=True)
-class ResamplePlan:
-    """Strategy resolved against a concrete layer count: the stack's rate
-    divisor and one ``(band_factor, time_factor)`` pair per layer."""
-
-    pps_factor: int
-    layers: tuple
-
-
-def plan_resampling(strategy: LwrStrategy, num_layers: int) -> ResamplePlan:
-    """Resolve a strategy into per-layer factors (layer labels are 1-based)."""
+def plan_resampling(strategy: LwrStrategy, num_layers: int) -> tuple:
+    """Resolve a strategy into ``(pps_factor, pairs)``: the whole stack's rate
+    divisor and one ``(band_factor, time_factor)`` pair per layer (layer
+    labels are 1-based)."""
     if num_layers < 0:
         raise ConfigError(f"num_layers must be >= 0, got {num_layers}")
     s = strategy.factor
     if strategy.kind == "pps":
-        return ResamplePlan(s, ((1, 1),) * num_layers)
+        return s, ((1, 1),) * num_layers
     if strategy.kind == "none":
         flags = [(False, False)] * num_layers
     elif strategy.kind == "all":
@@ -106,7 +99,7 @@ def plan_resampling(strategy: LwrStrategy, num_layers: int) -> ResamplePlan:
         flags = [(l in chosen, l in chosen) for l in range(1, num_layers + 1)]
     else:  # async: time RNN first, then band, alternating
         flags = [(l % 2 == 0, l % 2 == 1) for l in range(1, num_layers + 1)]
-    return ResamplePlan(1, tuple((s if b else 1, s if t else 1) for b, t in flags))
+    return 1, tuple((s if b else 1, s if t else 1) for b, t in flags)
 
 
 def reduced_frames(num_frames: int, factor: int) -> int:

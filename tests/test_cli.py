@@ -97,6 +97,12 @@ class TestTable:
         assert [l.split(",")[0] for l in lines[1:]] == ["tiny", "grouped", "resampled"]
         assert all(float(l.split(",")[3]) > 0 for l in lines[2:])
 
+    def test_extended_with_variants_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "variants").mkdir()
+        assert main(["table", "--variants", str(tmp_path / "variants"),
+                     "--extended"]) == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_empty_variant_directory(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["table", "--variants", str(tmp_path / "empty")]) == EXIT_CONFIG
@@ -207,6 +213,7 @@ class TestErrorsAndUsage:
         ["analyze", "--config", "canonical-v1", "--duration", "nan"],
         ["analyze", "--config", "canonical-v1", "--duration", "inf"],
         ["bench", "--config", "canonical-v1", "--seconds", "nan"],
+        ["bench", "--config", "canonical-v1-gr", "--seconds", "0.00001"],
         ["calibrate", "--top", "0"],
         ["calibrate", "--group", "0"],
         ["calibrate", "--dim-min", "3", "--dim-max", "3", "--group", "2"],

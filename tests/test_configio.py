@@ -4,13 +4,178 @@ import json
 
 import pytest
 
-from bsrnnlite import ConfigError, LwrStrategy, SbpStrategy
+from bsrnnlite import ConfigError, LwrStrategy, SbpStrategy, canonical_chain
 from bsrnnlite import canonical_config, preset_config, preset_names
 from bsrnnlite import load_config, save_config
 from bsrnnlite.cli import EXIT_CONFIG, main
 from bsrnnlite.configio import config_from_dict, config_to_dict
 
 from util import tiny_config, with_fields
+
+
+_FULL_TEXT = """\
+{
+  "name": "canonical-v1-full",
+  "stft": {
+    "sample_rate": 16000,
+    "fft_size": 512,
+    "hop_size": 256,
+    "window": "hann"
+  },
+  "bands": [
+    [
+      0,
+      4
+    ],
+    [
+      4,
+      8
+    ],
+    [
+      8,
+      12
+    ],
+    [
+      12,
+      16
+    ],
+    [
+      16,
+      20
+    ],
+    [
+      20,
+      24
+    ],
+    [
+      24,
+      28
+    ],
+    [
+      28,
+      32
+    ],
+    [
+      32,
+      36
+    ],
+    [
+      36,
+      40
+    ],
+    [
+      40,
+      48
+    ],
+    [
+      48,
+      56
+    ],
+    [
+      56,
+      64
+    ],
+    [
+      64,
+      72
+    ],
+    [
+      72,
+      80
+    ],
+    [
+      80,
+      88
+    ],
+    [
+      88,
+      96
+    ],
+    [
+      96,
+      104
+    ],
+    [
+      104,
+      128
+    ],
+    [
+      128,
+      152
+    ],
+    [
+      152,
+      176
+    ],
+    [
+      176,
+      200
+    ],
+    [
+      200,
+      257
+    ]
+  ],
+  "feature_dim": 126,
+  "hidden_dim": 72,
+  "num_layers": 6,
+  "group_size": 2,
+  "lwr": {
+    "kind": "async",
+    "factor": 16
+  },
+  "sbp": {
+    "kind": "progressive"
+  },
+  "time_rnn_causal": true,
+  "band_rnn_bidirectional": true,
+  "mask_hidden_ratio": 4
+}
+"""
+
+_TINY_EDGE_TEXT = """\
+{
+  "name": "tiny",
+  "stft": {
+    "sample_rate": 8000,
+    "fft_size": 32,
+    "hop_size": 8,
+    "window": "hann"
+  },
+  "bands": [
+    [
+      0,
+      6
+    ],
+    [
+      6,
+      12
+    ],
+    [
+      12,
+      17
+    ]
+  ],
+  "feature_dim": 6,
+  "hidden_dim": 4,
+  "num_layers": 2,
+  "group_size": 1,
+  "lwr": {
+    "kind": "sync",
+    "factor": 2,
+    "target_layers": []
+  },
+  "sbp": {
+    "kind": "aggressive",
+    "skip_bands": 0
+  },
+  "time_rnn_causal": true,
+  "band_rnn_bidirectional": true,
+  "mask_hidden_ratio": 4
+}
+"""
+
+_CHAIN_BASE, _CHAIN_ROWS = canonical_chain(extended=True)
 
 
 class TestRoundTrip:
@@ -28,6 +193,26 @@ class TestRoundTrip:
             path = tmp_path / "c.json"
             save_config(variant, path)
             assert load_config(path) == variant
+
+    @pytest.mark.parametrize("cfg", [
+        _CHAIN_BASE, *(cfg for _, cfg in _CHAIN_ROWS),
+        canonical_config().with_resample(LwrStrategy.sync(2, ()), "sync-no-targets"),
+        canonical_config().with_prune(SbpStrategy.aggressive(0), "aggressive-0"),
+    ], ids=lambda cfg: cfg.name)
+    def test_chain_row_and_edge_case_through_dict(self, cfg):
+        # no target layers and skipping no bands are explicit, not the defaults
+        back = config_from_dict(config_to_dict(cfg))
+        assert back == cfg and back.plan == cfg.plan
+
+    @pytest.mark.parametrize("cfg, text", [
+        (preset_config("canonical-v1-full"), _FULL_TEXT),
+        (tiny_config(resample=LwrStrategy.sync(2, ()), prune=SbpStrategy.aggressive(0)),
+         _TINY_EDGE_TEXT),
+    ], ids=["canonical-v1-full", "tiny-sync-none-aggressive-0"])
+    def test_saved_text_is_pinned(self, cfg, text, tmp_path):
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        assert path.read_text() == text
 
     def test_document_is_plain_json(self, tmp_path):
         path = tmp_path / "c.json"

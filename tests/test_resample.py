@@ -103,42 +103,42 @@ class TestPpsWrap:
         assert seen["t"] == 3
 
 
-def _flags(plan):
-    return [(band > 1, time > 1) for band, time in plan.layers]
+def _flags(pairs):
+    return [(band > 1, time > 1) for band, time in pairs]
 
 
 class TestPlanning:
     def test_none(self):
-        plan = plan_resampling(LwrStrategy.none(), 4)
-        assert plan.pps_factor == 1
-        assert _flags(plan) == [(False, False)] * 4
+        pps_factor, pairs = plan_resampling(LwrStrategy.none(), 4)
+        assert pps_factor == 1
+        assert _flags(pairs) == [(False, False)] * 4
 
     def test_all(self):
-        plan = plan_resampling(LwrStrategy.all_layers(4), 3)
-        assert plan.pps_factor == 1
-        assert _flags(plan) == [(True, True)] * 3
-        assert plan.layers == ((4, 4),) * 3
+        pps_factor, pairs = plan_resampling(LwrStrategy.all_layers(4), 3)
+        assert pps_factor == 1
+        assert _flags(pairs) == [(True, True)] * 3
+        assert pairs == ((4, 4),) * 3
 
     def test_pps_moves_factor_to_stack(self):
-        plan = plan_resampling(LwrStrategy.pps(4), 3)
-        assert plan.pps_factor == 4
-        assert _flags(plan) == [(False, False)] * 3
+        pps_factor, pairs = plan_resampling(LwrStrategy.pps(4), 3)
+        assert pps_factor == 4
+        assert _flags(pairs) == [(False, False)] * 3
 
     def test_sync_defaults_to_odd_layers(self):
-        plan = plan_resampling(LwrStrategy.sync(2), 6)
-        assert _flags(plan) == [(True, True), (False, False)] * 3
+        _, pairs = plan_resampling(LwrStrategy.sync(2), 6)
+        assert _flags(pairs) == [(True, True), (False, False)] * 3
 
     def test_sync_explicit_targets(self):
-        plan = plan_resampling(LwrStrategy.sync(2, target_layers=(2, 3)), 4)
-        assert _flags(plan) == [(False, False), (True, True), (True, True), (False, False)]
+        _, pairs = plan_resampling(LwrStrategy.sync(2, target_layers=(2, 3)), 4)
+        assert _flags(pairs) == [(False, False), (True, True), (True, True), (False, False)]
 
     def test_sync_target_out_of_range(self):
         with pytest.raises(ConfigError, match="exceed"):
             plan_resampling(LwrStrategy.sync(2, target_layers=(7,)), 6)
 
     def test_async_alternates_time_first(self):
-        plan = plan_resampling(LwrStrategy.alternating(2), 5)
-        assert _flags(plan) == [(False, True), (True, False)] * 2 + [(False, True)]
+        _, pairs = plan_resampling(LwrStrategy.alternating(2), 5)
+        assert _flags(pairs) == [(False, True), (True, False)] * 2 + [(False, True)]
 
     def test_strategy_validation(self):
         with pytest.raises(ConfigError):
