@@ -49,6 +49,7 @@ def _enhance_one(net, src: Path, dst: Path, oa: OaConfig | None) -> None:
     if rate != expected:
         raise AudioFormatError(f"{src}: sample rate {rate}, model expects {expected}")
     out = model.enhance(net, samples, oa=oa)
+    del samples  # a long file's input need not outlive its enhancement
     wavio.write_wav(dst, out, rate, fmt)
 
 
@@ -160,7 +161,18 @@ def cmd_bench(args) -> int:
     print(f"weights    {sum(a.nbytes for a in held) / 2**20:.1f} MiB "
           f"{'/'.join(sorted({a.dtype.name for a in held}))} "
           f"({sum(a.size for a in held)} parameters)")
+    print(f"peak rss   {_peak_rss()}")
     return EXIT_OK
+
+
+def _peak_rss() -> str:
+    """This process's peak resident memory so far, or "n/a" without ``resource``."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return "n/a"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    return f"{peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MiB"
 
 
 def cmd_calibrate(args) -> int:

@@ -32,7 +32,7 @@ from .bands import (
     canonical_bands,
     estimate_mask,
 )
-from .dsp import OaConfig, StftConfig, istft, observation_add, stft
+from .dsp import IstftTail, OaConfig, StftConfig, istft, mono_signal, observation_add, stft
 from .errors import ConfigError, WeightsFormatError
 from .prune import SbpStrategy, apply_pruned_time_rnn, prune_schedule
 from .resample import LwrStrategy, plan_resampling, pps_wrap, resampled_sublayer
@@ -302,23 +302,24 @@ def build(config: ModelConfig, weights) -> Model:
     return Model(config, weights)
 
 
-def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool):
+def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool, state=None):
     """Sublayer core on [K' x T' x N]: norm -> grouped RNN -> dense.
 
     The band RNN runs its sequences across K, batched over T'; the time
-    RNN runs them across T', batched over K'. The kernel is looked up on
-    its module so a wrapper installed there sees every call.
+    RNN runs them across T', batched over K', from ``state`` when given
+    (see :func:`rnn.lstm_forward_batch`). The kernel is looked up on its
+    module so a wrapper installed there sees every call.
     """
     xn = layer_norm(x, w.norm_gamma, w.norm_beta)
     if across_bands:
         xn = xn.transpose(1, 0, 2)
-    hidden = rnn.lstm_forward_batch(xn, w.cells)
+    hidden = rnn.lstm_forward_batch(xn, w.cells, state=state)
     del xn  # free before the projection allocates its output
     out = dense(hidden, w.proj_weight, w.proj_bias)
     return out.transpose(1, 0, 2) if across_bands else out
 
 
-def forward_features(model: Model, features: np.ndarray, *, probe=None) -> np.ndarray:
+def forward_features(model: Model, features: np.ndarray, *, probe=None, state=None) -> np.ndarray:
     """Run the dual-path layer stack on ``[K x T x N]`` features, T >= 1.
 
     ``probe``, when given, is called as ``probe(stage, layer, array)`` with
@@ -328,9 +329,20 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None) -> np.nd
     its core computes on, after LWR downsampling and (time RNN) SBP
     pruning. Output shape always equals the input shape, whatever the
     resampling and pruning plans do internally.
+
+    The first sublayer writes its residual sum to a new array and every
+    later one adds into that array, so ``features`` is never written, and
+    a probe that keeps an array must copy it.
+
+    ``state``, a dict, carries each time RNN's state from call to call:
+    empty on the first call, then passed to the call on the frames that
+    follow. Frames split into runs that start on a multiple of every LWR
+    factor (the PPS factor times the layer's) then give the output of one
+    call on all of them.
     """
     cfg = model.config
     x = np.asarray(features, dtype=np.float64)
+    del features  # see the hand-over below
     if x.ndim != 3 or x.shape[::2] != (cfg.num_bands, cfg.feature_dim) or not x.shape[1]:
         raise ConfigError(
             f"features must be [{cfg.num_bands} x T x {cfg.feature_dim}] with T >= 1, got {x.shape}"
@@ -347,11 +359,13 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None) -> np.nd
     def run_stack(y):
         layers = zip(rows, w.band_layers, w.time_layers, strict=True)
         for layer, ((band_factor, time_factor, skip), bw, tw) in enumerate(layers, start=1):
+            carry = None if state is None else state.setdefault(layer, [])
             emit("band_in", layer, y)
             y = resampled_sublayer(
                 y,
                 lambda z: _sublayer_core(emit("band_core", layer, z), bw, True),
                 band_factor,
+                in_place=layer > 1,
             )
             emit("band_out", layer, y)
             emit("time_in", layer, y)
@@ -359,17 +373,59 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None) -> np.nd
                 y,
                 lambda z: resampled_sublayer(
                     z,
-                    lambda q: _sublayer_core(emit("time_core", layer, q), tw, False),
+                    lambda q: _sublayer_core(emit("time_core", layer, q), tw, False, carry),
                     time_factor,
+                    in_place=True,
                 ),
                 skip,
+                in_place=True,
             )
             emit("time_out", layer, y)
         return y
 
     if pps_factor > 1:
         return pps_wrap(x, pps_factor, run_stack)
-    return run_stack(x)
+    # hand the input over, so that the first residual frees it when no caller holds it
+    handover = [x]
+    del x
+    return run_stack(handover.pop())
+
+
+#: most frames one pass of the layer stack runs in :func:`enhance`. A longer
+#: file runs in balanced chunks of at most this many frames, so its peak
+#: memory follows the chunk, not the file.
+CHUNK_FRAMES = 256
+#: most frames :func:`enhance` takes with a non-causal time RNN, which needs
+#: the whole file at once (65.5 s at 16 kHz with the default STFT)
+WHOLE_FILE_FRAMES = 4096
+
+
+def _chunks(config: ModelConfig, frames: int) -> list:
+    """The ``(start, end)`` frame spans :func:`enhance` runs the stack on.
+
+    Up to :data:`CHUNK_FRAMES` frames, or with a non-causal time RNN, one
+    span. Otherwise n = ceil(frames / limit) spans of near-equal length,
+    each rounded up to a multiple of the LWR unit (the PPS factor times the
+    largest layer factor), so that every span starts on a multiple of each
+    factor; ``limit`` is the largest multiple of the unit up to
+    CHUNK_FRAMES (at least one unit).
+    """
+    if frames <= CHUNK_FRAMES:
+        return [(0, frames)]
+    if not config.time_rnn_causal:
+        if frames > WHOLE_FILE_FRAMES:
+            seconds = WHOLE_FILE_FRAMES * config.stft.hop_size / config.stft.sample_rate
+            raise ConfigError(
+                f"a non-causal time RNN needs the whole file at once, so enhance takes at "
+                f"most {WHOLE_FILE_FRAMES} frames (about {seconds:.1f} s); the input has {frames}"
+            )
+        return [(0, frames)]
+    pps_factor, rows = config.plan
+    unit = pps_factor * max((max(b, t) for b, t, _ in rows), default=1)
+    limit = max(CHUNK_FRAMES // unit, 1) * unit
+    count = -(-frames // limit)
+    size = -(-(-(-frames // count)) // unit) * unit  # ceil(frames / count), rounded up to units
+    return [(start, min(start + size, frames)) for start in range(0, frames, size)]
 
 
 def enhance(model: Model, noisy: np.ndarray, oa: OaConfig | None = None) -> np.ndarray:
@@ -377,14 +433,24 @@ def enhance(model: Model, noisy: np.ndarray, oa: OaConfig | None = None) -> np.n
 
     With observation adding, the output is the configured convex mix of
     the noisy input and the enhanced signal.
+
+    The file runs as the frame spans of :func:`_chunks`, each from its own
+    STFT frames to its finished output samples, with each time RNN's state
+    and the inverse transform's overlap-add tail carried to the next span.
     """
-    noisy = np.asarray(noisy)
-    cfg = model.config
-    spec = stft(noisy, cfg.stft)
-    feats = band_split(spec, model.weights.band_split, cfg.bands)
-    feats = forward_features(model, feats)
-    mask = estimate_mask(feats, model.weights.mask_head, cfg.bands)
-    out = istft(apply_mask(spec, mask), cfg.stft, noisy.size)
-    if oa is not None:
-        out = observation_add(noisy, out, oa)
+    cfg, w = model.config, model.weights
+    noisy = mono_signal(noisy)
+    spans = _chunks(cfg, cfg.stft.num_frames(noisy.size))
+    out = np.empty(noisy.size, dtype=np.float32)
+    state, tail, done = {}, IstftTail(), 0
+    for span in spans:
+        spec = stft(noisy, cfg.stft, frames=span)
+        feats = forward_features(model, band_split(spec, w.band_split, cfg.bands), state=state)
+        mask = estimate_mask(feats, w.mask_head, cfg.bands)
+        del feats
+        piece = istft(apply_mask(spec, mask), cfg.stft, noisy.size, tail=tail)
+        if oa is not None:
+            piece = observation_add(noisy[done : done + piece.size], piece, oa)
+        out[done : done + piece.size] = piece
+        done += piece.size
     return out

@@ -35,7 +35,8 @@ class LwrStrategy:
     """Which sublayers run at the reduced frame rate, and by what factor.
 
     ``target_layers`` (1-based, sync only) selects the layers to resample;
-    None means the default odd layers.
+    None means the default odd layers. They are kept sorted, and kind
+    "none" keeps factor 1, so two strategies are equal when their plans are.
     """
 
     kind: str = "none"
@@ -53,6 +54,10 @@ class LwrStrategy:
             ts = self.target_layers
             if any(not isinstance(l, int) or l < 1 for l in ts) or len(set(ts)) != len(ts):
                 raise ConfigError(f"target_layers must be distinct positive integers, got {ts}")
+            # one form per plan, so equality and the config round trip follow the plan
+            object.__setattr__(self, "target_layers", tuple(sorted(ts)))
+        if self.kind == "none":
+            object.__setattr__(self, "factor", 1)
 
     @classmethod
     def none(cls):
@@ -68,7 +73,7 @@ class LwrStrategy:
 
     @classmethod
     def sync(cls, factor: int, target_layers=None):
-        return cls("sync", factor, None if target_layers is None else tuple(sorted(target_layers)))
+        return cls("sync", factor, None if target_layers is None else tuple(target_layers))
 
     @classmethod
     def alternating(cls, factor: int):
@@ -133,17 +138,21 @@ def upsample_t(features: np.ndarray, factor: int, target_frames: int) -> np.ndar
     return held[..., :target_frames, :]
 
 
-def resampled_sublayer(features: np.ndarray, core, factor: int) -> np.ndarray:
+def resampled_sublayer(features: np.ndarray, core, factor: int, *, in_place=False) -> np.ndarray:
     """Residual block with the core computed at 1/factor frame rate.
 
     ``core`` maps ``[... x T' x N]`` to the same shape. With factor 1 this
-    is a plain residual block with no hold. The add is out of place: a core
-    may return an array it still holds.
+    is a plain residual block with no hold. The sum goes to a new array, or
+    with ``in_place`` into ``features``. The core's output is only read, and
+    each held frame is added where it lands, so no full-rate copy of it is
+    made.
     """
-    if factor == 1:
-        return features + core(features)
-    reduced = downsample_t(features, factor)
-    return features + upsample_t(core(reduced), factor, features.shape[-2])
+    held = core(features if factor == 1 else downsample_t(features, factor))
+    out = features if in_place else features.copy()
+    for phase in range(factor):
+        frames = out[..., phase::factor, :]
+        frames += held[..., : frames.shape[-2], :]
+    return out
 
 
 def pps_wrap(features: np.ndarray, factor: int, stack) -> np.ndarray:

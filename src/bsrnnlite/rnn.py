@@ -1,4 +1,4 @@
-"""Recurrent kernel: stacked LSTM cells and channel rearrangement.
+"""Recurrent kernel: stacked LSTM cells with an optional carried state.
 
 Also hosts the two small helpers (layer norm, dense projection) shared by
 the sublayers, the band split and the mask head. Every multiply-accumulate
@@ -21,8 +21,9 @@ cell axis of length C = g * dirs in (group, direction) order. Cell
 forward time for d = 0 and in reverse time for d = 1. The kernel works
 out g from the input width (I / (I/g)) and dirs from C / g, runs every
 cell in one time loop, and writes each hidden state straight to its
-channel of the group-major order (``[g0 fwd, g0 bwd, g1 fwd, ...]``) after
-:func:`rearrange`, so no shuffle copy is made.
+channel of the group-shuffled order, so no shuffle copy is made: the C
+channels, viewed as ``[g x C/g]``, transposed and flattened, so that
+information crosses group boundaries between grouped layers.
 """
 
 from __future__ import annotations
@@ -272,14 +273,19 @@ def _gate_update(gates: np.ndarray, c: np.ndarray):
     return o * np.tanh(c_next), c_next
 
 
-def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights):
+def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
     """Every cell of one sublayer over a batch of sequences, in one time loop.
 
-    ``seqs`` is ``[B x T x I]``; returns the rearranged hidden states
-    ``[B x T x C*h]`` from zero initial state. The input projection (bias
-    folded in) runs in blocks of :data:`PROJECTION_ROWS` rows ahead of the
-    steps that use it; only the recurrent matmul runs per step, one for all
-    cells.
+    ``seqs`` is ``[B x T x I]``; returns the shuffled hidden states
+    ``[B x T x C*h]``. The input projection (bias folded in) runs in blocks
+    of :data:`PROJECTION_ROWS` rows ahead of the steps that use it; only the
+    recurrent matmul runs per step, one for all cells.
+
+    ``state``, a list, carries the cells' state from call to call: empty,
+    the cells start from zero, as without it; else it holds ``h`` and ``c``,
+    two ``[C x B x h]`` float64 arrays, to start from. The call leaves the
+    state after its last step in it. A sequence cut in two and run as two
+    calls carrying one list gives the rows of one call over the whole.
 
     The rows are independent sequences, split over threads by :func:`_split`
     into shares of at least :data:`MIN_SHARE_ROWS` rows when the cells' gates
@@ -290,28 +296,37 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights):
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
     i, h = cells.input_dim, cells.hidden_dim
+    if state is not None:
+        if not state:
+            state[:] = [np.zeros((cells.cell_count, b, h)) for _ in "hc"]
+        if [part.shape for part in state] != [(cells.cell_count, b, h)] * 2:
+            raise ConfigError(f"state must hold two [{cells.cell_count} x {b} x {h}] arrays, "
+                              f"got {[part.shape for part in state]}")
     # upcast once: the loop casts nothing. The recurrent matmul, as few rows as
     # the batch, runs on a row-major copy; the projection's blocks are large.
     weights = (cells.w_input.astype(np.float64, copy=False).transpose(0, 2, 1),
                _row_major(cells.w_hidden), cells.bias.astype(np.float64, copy=False)[:, None])
-    # [dirs x h x groups] per position is the rearranged (group-shuffled) channel order
+    # [dirs x h x groups] per position is the group-shuffled channel order
     out = np.empty((b, t, dirs, h, groups))
     run = partial(_run_rows, seqs.reshape(b, t, groups, i), out, weights,
-                  max(1, PROJECTION_ROWS // max(b, 1)))
+                  max(1, PROJECTION_ROWS // max(b, 1)), state)
     _split(run, b, b // MIN_SHARE_ROWS if 4 * h >= MIN_SPLIT_GATES and h % 2 == 0 else 1)
     return out.reshape(b, t, dirs * h * groups)
 
 
-def _run_rows(xs, out, weights, block, lo, hi):
-    """The projection blocks and time loop for batch rows ``[lo, hi)``, into ``out``."""
+def _run_rows(xs, out, weights, block, carry, lo, hi):
+    """The projection blocks and time loop for batch rows ``[lo, hi)``, into ``out``
+    and, when ``carry`` is a state pair, its rows."""
     w_input, w_hidden, bias = weights
     xs, out = xs[lo:hi], out[lo:hi]
     rows, t, groups, i = xs.shape
     n, h, dirs = w_hidden.shape[0], w_hidden.shape[1], out.shape[2]
     # frames[d, s] is the frame that direction d reads at step s
     frames = np.stack([np.arange(t), np.arange(t)[::-1]])[:dirs]
-    state = np.zeros((n, rows, h))
-    c = np.zeros((n, rows, h))
+    if carry is None:
+        state, c = np.zeros((n, rows, h)), np.zeros((n, rows, h))
+    else:
+        state, c = (np.array(part[:, lo:hi]) for part in carry)
     for start in range(0, t, block):
         idx = frames[:, start : start + block]
         steps = idx.shape[1]
@@ -324,21 +339,8 @@ def _run_rows(xs, out, weights, block, lo, hi):
             by_dir = state.reshape(groups, dirs, rows, h)
             for d in range(dirs):
                 out[:, idx[d, s], d] = by_dir[:, d].transpose(1, 2, 0)
-
-
-def rearrange(x: np.ndarray, groups: int) -> np.ndarray:
-    """Channel shuffle on the last axis.
-
-    Views the C channels as [groups x C/groups], transposes, flattens, so
-    information crosses group boundaries between grouped layers. groups=1
-    is the identity; groups=2 is its own inverse. :func:`lstm_forward_batch`
-    writes its output in this order directly; this is the reference for it.
-    """
-    c = x.shape[-1]
-    if groups < 1 or c % groups != 0:
-        raise ConfigError(f"channel count {c} not divisible into {groups} groups")
-    head = x.shape[:-1]
-    return x.reshape(head + (groups, c // groups)).swapaxes(-2, -1).reshape(head + (c,))
+    if carry is not None:
+        carry[0][:, lo:hi], carry[1][:, lo:hi] = state, c
 
 
 @dataclass(frozen=True)
@@ -346,7 +348,7 @@ class GroupedLayerWeights:
     """One RNN sublayer: input norm, stacked cells, post-RNN projection.
 
     ``cells`` holds every (group, direction) cell, each with dims
-    I/g -> H/g. The projection maps the rearranged hidden states
+    I/g -> H/g. The projection maps the shuffled hidden states
     ``[C * H/g]`` back to the feature dim; it is never grouped.
     """
 

@@ -19,6 +19,8 @@ PCM16 = "pcm16"
 FLOAT32 = "float32"
 
 _PCM_SCALE = 32768.0
+#: samples converted at a time when writing pcm16
+_BLOCK = 2**16
 
 
 def read_wav(path: str | Path):
@@ -46,7 +48,9 @@ def read_wav(path: str | Path):
     if data.ndim != 1:
         raise AudioFormatError(f"mono required, got {data.shape[1]} channels")
     if data.dtype == np.int16:
-        return data.astype(np.float32) / np.float32(_PCM_SCALE), int(rate), PCM16
+        samples = data.astype(np.float32)
+        samples /= np.float32(_PCM_SCALE)
+        return samples, int(rate), PCM16
     if data.dtype == np.float32:
         return np.array(data), int(rate), FLOAT32
     raise AudioFormatError(
@@ -60,8 +64,12 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int, fmt: str 
     if x.ndim != 1:
         raise AudioFormatError(f"mono required, got {x.ndim}-dimensional data")
     if fmt == PCM16:
-        ints = np.clip(np.rint(x.astype(np.float64) * _PCM_SCALE), -32768, 32767)
-        wavfile.write(path, sample_rate, ints.astype(np.int16))
+        # converted in blocks, so a long file costs its int16 copy and one block
+        ints = np.empty(x.size, dtype=np.int16)
+        for lo in range(0, x.size, _BLOCK):
+            block = x[lo : lo + _BLOCK].astype(np.float64) * _PCM_SCALE
+            ints[lo : lo + _BLOCK] = np.clip(np.rint(block), -32768, 32767)
+        wavfile.write(path, sample_rate, ints)
     elif fmt == FLOAT32:
         wavfile.write(path, sample_rate, x.astype(np.float32))
     else:

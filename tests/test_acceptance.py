@@ -31,11 +31,11 @@ from bsrnnlite import (
 from bsrnnlite.cli import EXIT_OK, main
 from bsrnnlite.macs import analyze_frames
 from bsrnnlite.model import ModelConfig
-from bsrnnlite.rnn import LstmWeights, lstm_forward_batch, rearrange
+from bsrnnlite.rnn import LstmWeights, lstm_forward_batch
 
 import conftest
 from reference import naive_lstm_forward
-from util import lstm_forward, one_cell
+from util import lstm_forward, one_cell, rearrange
 
 
 def _verdict(num, ok, detail):

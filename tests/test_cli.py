@@ -1,12 +1,15 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from bsrnnlite import cli, expected_tensors, rnn, save_config, wavio
+from bsrnnlite import cli, expected_tensors, model, rnn, save_config, wavio
 from bsrnnlite.cli import (
     EXIT_AUDIO,
     EXIT_CONFIG,
@@ -19,6 +22,8 @@ from bsrnnlite.cli import (
 )
 
 from util import tiny_config
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +160,31 @@ class TestEnhance:
         out, _, _ = wavio.read_wav(out_path)
         assert np.array_equal(out, noisy)
 
+    def test_non_causal_limit(self, tmp_path, monkeypatch, capsys):
+        # one frame past the whole-file limit: 4097 frames of the tiny 8 kHz / hop 8 STFT
+        cfg = tiny_config(time_rnn_causal=False)
+        cfg_path, weights_path = tmp_path / "bidir.json", tmp_path / "bidir.bsrw"
+        save_config(cfg, cfg_path)
+        assert main(["gen-weights", "--config", str(cfg_path), "--output", str(weights_path)]) == EXIT_OK
+        wav = tmp_path / "long.wav"
+        samples = model.WHOLE_FILE_FRAMES * cfg.stft.hop_size
+        assert cfg.stft.num_frames(samples) == model.WHOLE_FILE_FRAMES + 1
+        wavio.write_wav(wav, np.zeros(samples, np.float32), cfg.stft.sample_rate, "pcm16")
+        argv = ["enhance", "--config", str(cfg_path), "--weights", str(weights_path),
+                "--input", str(wav), "--output", str(tmp_path / "out.wav")]
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            # refused before the first transform runs
+            patch.setattr(model, "stft", lambda *args, **kwargs: pytest.fail("stft ran"))
+            assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: config: a non-causal time RNN")
+        done = subprocess.run([sys.executable, "-m", "bsrnnlite.cli", *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  filter(None, [SRC, os.environ.get("PYTHONPATH")]))})
+        assert done.returncode == EXIT_CONFIG and done.stderr == err and not done.stdout
+        assert not (tmp_path / "out.wav").exists()
+
     def test_stereo_rejected(self, assets, tmp_path, capsys):
         stereo = tmp_path / "stereo.wav"
         scipy.io.wavfile.write(stereo, 8000, np.zeros((64, 2), np.int16))
@@ -250,17 +280,31 @@ class TestErrorsAndUsage:
 class TestBenchAndCalibrate:
     def test_bench_runs(self, assets, capsys, force_workers):
         force_workers(3)
+        resource = pytest.importorskip("resource")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10
         assert main(["bench", "--config", str(assets["config"]),
                      "--weights", str(assets["weights"]),
                      "--seconds", "0.05", "--runs", "1"]) == EXIT_OK
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10
         out = capsys.readouterr().out
         assert "rtf" in out and "GMAC/s" in out
         params = sum(int(np.prod(shape)) for shape in expected_tensors(tiny_config()).values())
-        assert out.splitlines()[-2:] == [
+        lines = out.splitlines()
+        assert lines[-3:-1] == [
             f"workers    3 of {rnn._CPUS} CPUs, shares of >= 24 RNN rows "
             "(gates >= 32 wide, a multiple of 8) or >= 65536 elements",
             f"weights    {4 * params / 2**20:.1f} MiB float32 ({params} parameters)",
         ]
+        label, mib, unit = lines[-1].rsplit(maxsplit=2)
+        assert (label, unit) == ("peak rss", "MiB")
+        assert before - 0.05 <= float(mib) <= after + 0.05  # the process's high-water mark
+
+    def test_bench_peak_without_resource(self, assets, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "resource", None)  # the import then fails, as on Windows
+        assert main(["bench", "--config", str(assets["config"]),
+                     "--weights", str(assets["weights"]),
+                     "--seconds", "0.05", "--runs", "1"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "peak rss   n/a"
 
     def test_calibrate_recovers_canonical_dims(self, capsys):
         assert main(["calibrate", "--dim-min", "64", "--dim-max", "132",

@@ -214,6 +214,21 @@ class TestRoundTrip:
         save_config(cfg, path)
         assert path.read_text() == text
 
+    @pytest.mark.parametrize("strategy", [LwrStrategy("none", 5), LwrStrategy("sync", 2, (3, 1))],
+                             ids=["none-factor-5", "sync-unsorted-targets"])
+    def test_non_canonical_strategy_through_dict(self, strategy):
+        # a factor that kind "none" ignores and unsorted targets both have one canonical form
+        cfg = tiny_config(num_layers=3, resample=strategy)
+        back = config_from_dict(config_to_dict(cfg))
+        assert back == cfg and back.plan == cfg.plan
+
+    def test_equal_plans_make_equal_strategies(self):
+        assert LwrStrategy("none", 5) == LwrStrategy.none() == LwrStrategy()
+        assert LwrStrategy("sync", 2, (3, 1)) == LwrStrategy.sync(2, (1, 3))
+        assert LwrStrategy("sync", 2, (3, 1)).target_layers == (1, 3)
+        assert hash(LwrStrategy("none", 5)) == hash(LwrStrategy.none())
+        assert LwrStrategy("sync", 2, (3, 1)) != LwrStrategy.sync(2, (1, 2))
+
     def test_document_is_plain_json(self, tmp_path):
         path = tmp_path / "c.json"
         save_config(canonical_config(), path)

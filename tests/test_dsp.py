@@ -5,6 +5,7 @@ import pytest
 
 from bsrnnlite import AudioFormatError, ConfigError, OaConfig, StftConfig
 from bsrnnlite import istft, observation_add, stft
+from bsrnnlite.dsp import IstftTail
 
 from reference import dft_frame, loop_istft
 
@@ -131,7 +132,63 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             istft(np.zeros((100, 10), dtype=np.complex64), cfg, 10)
         with pytest.raises(ConfigError):
+            istft(np.zeros((257, 64), dtype=np.complex64), cfg, 16000, tail=IstftTail())
+        with pytest.raises(ConfigError):
             istft(np.zeros((257, 10), dtype=np.complex64), cfg, -1)
+
+
+class TestRunsOfFrames:
+    """``stft(frames=)`` and ``istft(tail=)``: a long signal in runs of frames, bitwise."""
+
+    @staticmethod
+    def _cuts(total, rng):
+        """Run boundaries: halves, one-frame ends, and a seeded handful."""
+        inner = {total // 2, 1, total - 1} | set(rng.integers(1, total, 4).tolist())
+        return [0] + sorted(c for c in inner if 0 < c < total) + [total]
+
+    @pytest.mark.parametrize("fft, hop", [(512, 256), (32, 8), (512, 200), (64, 27)])
+    @pytest.mark.parametrize("length", [1, 40, 511, 513, 4000, 16001])
+    def test_runs_equal_one_call(self, fft, hop, length):
+        # 200 and 27 do not divide the frame: the carried tail ends inside a hop block
+        cfg = StftConfig(fft_size=fft, hop_size=hop)
+        rng = np.random.default_rng(length + hop)
+        x = rng.standard_normal(length).astype(np.float32)
+        whole = stft(x, cfg)
+        cuts = self._cuts(whole.shape[1], rng)
+        runs = [stft(x, cfg, frames=span) for span in zip(cuts[:-1], cuts[1:])]
+        assert np.concatenate(runs, axis=1).tobytes() == whole.tobytes()
+        tail = IstftTail()
+        pieces = [istft(run, cfg, length, tail=tail) for run in runs]
+        assert np.concatenate(pieces).tobytes() == istft(whole, cfg, length).tobytes()
+        assert tail.frames == whole.shape[1] and not tail.acc.size
+
+    @pytest.mark.parametrize("fft, hop", [(512, 256), (32, 8), (64, 27)])
+    @pytest.mark.parametrize("length", [1, 40, 513, 4000])
+    def test_frames_match_whole_padded_signal(self, fft, hop, length):
+        # the reference pads the whole signal, reflecting at both ends
+        cfg = StftConfig(fft_size=fft, hop_size=hop)
+        x = np.random.default_rng(length).standard_normal(length)
+        padded = np.pad(np.pad(x, (0, max(fft - length, 0))), fft // 2, mode="reflect")
+        frames = np.lib.stride_tricks.sliding_window_view(padded, fft)[::hop] * cfg.window_array()
+        want = np.fft.rfft(frames, axis=1).T.astype(np.complex64)
+        assert stft(x, cfg).tobytes() == want.tobytes()
+        last = cfg.num_frames(length)
+        assert stft(x, cfg, frames=(last - 1, last)).tobytes() == want[:, -1:].tobytes()
+
+    def test_runs_read_only_their_samples(self):
+        cfg = StftConfig(fft_size=32, hop_size=8)
+        x = np.random.default_rng(3).standard_normal(400)
+        x[-1] = np.nan
+        first = stft(x, cfg, frames=(0, 10))  # frames 0..9 end at sample 9 * 8 + 16
+        assert np.array_equal(first, stft(x[:100], cfg)[:, :10])
+        with pytest.raises(AudioFormatError, match="non-finite"):
+            stft(x, cfg, frames=(40, cfg.num_frames(400)))
+
+    @pytest.mark.parametrize("frames", [(0, 0), (-1, 3), (3, 2), (0, 52)])
+    def test_frame_range_checked(self, frames):
+        cfg = StftConfig(fft_size=32, hop_size=8)
+        with pytest.raises(ConfigError):
+            stft(np.zeros(400), cfg, frames=frames)  # 51 frames
 
 
 class TestWindowSums:

@@ -2,6 +2,9 @@
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 
@@ -25,6 +28,7 @@ from bsrnnlite import (
     preset_config,
     preset_names,
 )
+from bsrnnlite import model as model_mod
 from bsrnnlite import rnn
 from bsrnnlite.model import CANONICAL_FEATURE_DIM, CANONICAL_HIDDEN_DIM, canonical_config
 from bsrnnlite.model import weight_arrays, weights_from_arrays
@@ -33,6 +37,15 @@ from bsrnnlite.weights_io import load_weights, save_weights
 
 from reference import straight_line_layer
 from util import build_tiny, tiny_config, with_fields
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _pinned_env():
+    """This environment with the BLAS pinned to one thread and ``src`` importable."""
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 class TestConfigValidation:
@@ -209,6 +222,15 @@ class TestForward:
                 assert y.shape == x.shape
                 assert np.isfinite(y).all()
 
+    @pytest.mark.parametrize("plan", ["none", "pps4", "all4", "sbp-p"])
+    def test_input_is_never_written(self, plan):
+        # the stack adds its residuals in place, into an array of its own
+        _, model = build_tiny(**_TINY_PLANS.get(plan, {}))
+        x = np.random.default_rng(2).standard_normal((3, 9, 6))
+        before = x.tobytes()
+        forward_features(model, x, state={})
+        assert x.tobytes() == before
+
     def test_zero_layers_is_identity(self):
         _, model = build_tiny(num_layers=0)
         x = np.random.default_rng(1).standard_normal((3, 5, 6))
@@ -356,6 +378,151 @@ class TestEnhance:
         wave = np.random.default_rng(10).standard_normal(900).astype(np.float32) * 0.1
         out = enhance(model, wave)
         assert out.shape == (900,) and np.isfinite(out).all()
+
+
+#: every LWR phase and SBP schedule, and grouping, on the tiny model
+_TINY_PLANS = {
+    "pps4": dict(resample=LwrStrategy.pps(4)),
+    "async16": dict(resample=LwrStrategy.alternating(16)),
+    "sync4": dict(resample=LwrStrategy.sync(4)),
+    "all4": dict(resample=LwrStrategy.all_layers(4)),
+    "sbp-a": dict(prune=SbpStrategy.aggressive()),
+    "sbp-p": dict(prune=SbpStrategy.progressive()),
+    "gr2": dict(group_size=2),
+}
+#: frame counts just under, at and over one and two chunks
+_EDGES = (255, 256, 257, 511, 512, 513)
+
+
+def _stack_in_runs(model, feats, spans):
+    """``forward_features`` over consecutive frame spans, carrying one state."""
+    state = {}
+    return np.concatenate([forward_features(model, feats[:, lo:hi], state=state)
+                           for lo, hi in spans], axis=1)
+
+
+def _assert_close_to_one_pass(got, want):
+    """The chunked path's bound: max |diff| <= 1e-14 x the one-pass output's RMS."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sqrt(np.mean(want * want))
+
+
+class TestChunkedEnhance:
+    """Long files run in chunks of at most CHUNK_FRAMES frames, carrying the time RNNs' state."""
+
+    def test_spans(self):
+        cfg = tiny_config()
+        assert model_mod._chunks(cfg, 1) == [(0, 1)]
+        assert model_mod._chunks(cfg, 256) == [(0, 256)]
+        assert model_mod._chunks(cfg, 257) == [(0, 129), (129, 257)]
+        assert model_mod._chunks(cfg, 513) == [(0, 171), (171, 342), (342, 513)]
+        # LWR: lengths round up to a multiple of the unit, here 16
+        lwr = tiny_config(resample=LwrStrategy.alternating(16))
+        assert model_mod._chunks(lwr, 257) == [(0, 144), (144, 257)]
+        for plan, factor in (("pps4", 4), ("async16", 16), ("sync4", 4), ("all4", 4), ("gr2", 1)):
+            cfg = tiny_config(**_TINY_PLANS[plan])
+            for frames in (257, 1000, 5003):
+                spans = model_mod._chunks(cfg, frames)
+                assert spans[0][0] == 0 and spans[-1][1] == frames
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                assert all(lo % factor == 0 and hi - lo <= 256 for lo, hi in spans)
+                assert len(spans) == -(-frames // 256)
+        # a unit past the bound runs one unit at a time
+        pps = tiny_config(num_layers=1, resample=LwrStrategy.pps(300))
+        assert model_mod._chunks(pps, 700) == [(0, 300), (300, 600), (600, 700)]
+
+    def test_non_causal_runs_whole_files_up_to_the_limit(self):
+        cfg = tiny_config(time_rnn_causal=False)
+        limit = model_mod.WHOLE_FILE_FRAMES
+        assert model_mod._chunks(cfg, limit) == [(0, limit)]
+        with pytest.raises(ConfigError, match="non-causal"):
+            model_mod._chunks(cfg, limit + 1)
+
+    @pytest.mark.parametrize("plan", _TINY_PLANS)
+    def test_stack_in_chunks_matches_one_pass(self, plan):
+        cfg, model = build_tiny(**_TINY_PLANS[plan])
+        rng = np.random.default_rng(11)
+        for frames in _EDGES:
+            feats = rng.standard_normal((cfg.num_bands, frames, cfg.feature_dim))
+            spans = model_mod._chunks(cfg, frames)
+            assert len(spans) == (frames > 256) + (frames > 512) + 1
+            _assert_close_to_one_pass(_stack_in_runs(model, feats, spans),
+                                      forward_features(model, feats))
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_in_chunks_match_one_pass(self, name, monkeypatch):
+        # a 16-frame bound keeps the real dims cheap: LWR-16's time RNN then
+        # runs one frame per chunk, the fewest rows a chunk can give a GEMM
+        monkeypatch.setattr(model_mod, "CHUNK_FRAMES", 16)
+        cfg = preset_config(name)
+        model = build(cfg, gen_weights(cfg, seed=0))
+        rng = np.random.default_rng(12)
+        for frames in (16, 17, 33):
+            feats = rng.standard_normal((cfg.num_bands, frames, cfg.feature_dim))
+            _assert_close_to_one_pass(_stack_in_runs(model, feats, model_mod._chunks(cfg, frames)),
+                                      forward_features(model, feats))
+
+    @pytest.mark.parametrize("plan", _TINY_PLANS)
+    def test_enhance_at_chunk_boundaries(self, plan, monkeypatch):
+        cfg, model = build_tiny(**_TINY_PLANS[plan])
+        rng = np.random.default_rng(13)
+        for frames in _EDGES:
+            wave = rng.standard_normal((frames - 1) * cfg.stft.hop_size).astype(np.float32) * 0.1
+            assert cfg.stft.num_frames(wave.size) == frames
+            chunked = [enhance(model, wave), enhance(model, wave, oa=OaConfig(0.3))]
+            with monkeypatch.context() as patch:
+                patch.setattr(model_mod, "CHUNK_FRAMES", frames)
+                whole = [enhance(model, wave), enhance(model, wave, oa=OaConfig(0.3))]
+            for got, want in zip(chunked, whole):
+                # the stack's bound, seen through the float32 mask and output: one rounding
+                assert got.dtype == np.float32 and got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.sqrt(np.mean(want * want.astype(float)))
+
+    def test_chunks_bitwise_on_one_blas_thread(self):
+        # every GEMM of these presets keeps 10 or more rows at 257 and 513 frames, so with
+        # the BLAS pinned the chunked output is the one-pass output, byte for byte
+        script = textwrap.dedent("""
+            import numpy as np
+            from bsrnnlite import OaConfig, build, enhance, gen_weights, model, preset_config
+            rng = np.random.default_rng(0)
+            same = []
+            for name, frames in (("canonical-v1", 257), ("canonical-v1-full", 257),
+                                 ("canonical-v1-full", 513)):
+                cfg = preset_config(name)
+                net = build(cfg, gen_weights(cfg, 0))
+                wave = (rng.standard_normal((frames - 1) * 256) * 0.1).astype(np.float32)
+                chunked = enhance(net, wave, OaConfig(0.25)).tobytes()
+                model.CHUNK_FRAMES = frames
+                same.append(enhance(net, wave, OaConfig(0.25)).tobytes() == chunked)
+                model.CHUNK_FRAMES = 256
+            print(same)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], env=_pinned_env(),
+                              capture_output=True, text=True, timeout=600, check=True)
+        assert done.stdout.split() == ["[True,", "True,", "True]"]
+
+    def test_peak_memory_follows_the_chunk(self):
+        # peak RSS after a 4 s and then a 40 s file (1 and 10 chunks): the whole-file
+        # path grew about 250 MiB between them
+        pytest.importorskip("resource")
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from bsrnnlite import build, enhance, gen_weights, preset_config
+            cfg = preset_config("canonical-v1-full")
+            net = build(cfg, gen_weights(cfg, 0))
+            rng = np.random.default_rng(0)
+            peaks = []
+            for seconds in (4, 40):
+                enhance(net, (rng.standard_normal(seconds * 16000) * 0.1).astype(np.float32))
+                peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            print(*peaks)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], env=_pinned_env(),
+                              capture_output=True, text=True, timeout=600, check=True)
+        short, long = map(int, done.stdout.split())
+        scale = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes there, KiB here
+        assert (long - short) / scale < 30
 
 
 class TestThreadSplit:

@@ -68,6 +68,20 @@ class TestBypass:
         apply_pruned_time_rnn(x, sub, 4)
         assert seen["bands"] == 2
 
+    def test_in_place_stores_into_features(self):
+        x = np.random.default_rng(3).standard_normal((5, 4, 3))
+        want = apply_pruned_time_rnn(x, lambda z: z * 3.0, 2)
+        top = x[3:].copy()
+
+        def sub(z):  # updates its view of the active bands, as the stack's sublayers do
+            z *= 3.0
+            return z
+
+        got = apply_pruned_time_rnn(x, sub, 2, in_place=True)
+        assert got is x and got.tobytes() == want.tobytes()
+        assert got[3:].tobytes() == top.tobytes()
+        assert apply_pruned_time_rnn(x, lambda z: z + 1.0, 0, in_place=True) is x
+
     def test_skip_bounds(self):
         x = np.zeros((4, 3, 2))
         with pytest.raises(ConfigError):

@@ -82,6 +82,16 @@ class TestResampledSublayer:
         assert seen["frames"] == 3
 
 
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_in_place_adds_into_features(self, factor):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 7, 3))
+        core = lambda z: np.sin(z)
+        want = resampled_sublayer(x, core, factor)
+        got = resampled_sublayer(x, core, factor, in_place=True)
+        assert got is x and got.tobytes() == want.tobytes()
+
+
 class TestPpsWrap:
     def test_identity_stack(self):
         x = np.random.default_rng(4).standard_normal((2, 7, 3))

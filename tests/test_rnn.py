@@ -16,10 +16,10 @@ import pytest
 
 from bsrnnlite import ConfigError, rnn
 from bsrnnlite.rnn import GroupedLayerWeights, LstmWeights
-from bsrnnlite.rnn import dense, layer_norm, lstm_forward_batch, rearrange
+from bsrnnlite.rnn import dense, layer_norm, lstm_forward_batch
 
 from reference import naive_lstm_forward
-from util import compose_by_hand, lstm_forward, one_cell
+from util import compose_by_hand, lstm_forward, one_cell, rearrange
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -138,6 +138,71 @@ class TestLstmForward:
         whole = lstm_forward_batch(seqs, w)
         monkeypatch.setattr("bsrnnlite.rnn.PROJECTION_ROWS", 7)
         assert np.allclose(lstm_forward_batch(seqs, w), whole, atol=1e-12)
+
+
+class TestCarriedState:
+    """``state=``: a sequence run as consecutive calls carrying the cells' state."""
+
+    def test_empty_state_starts_from_zero(self):
+        rng = np.random.default_rng(50)
+        cells = _random_cell(rng, 3, 5, cells=2)
+        seqs = rng.standard_normal((4, 7, 6))
+        state = []
+        got = lstm_forward_batch(seqs, cells, state=state)
+        assert got.tobytes() == lstm_forward_batch(seqs, cells).tobytes()
+        assert [part.shape for part in state] == [(2, 4, 5)] * 2
+        # one direction, two groups: the last frame's channels are h[g] interleaved
+        assert np.array_equal(got[:, -1].reshape(4, 5, 2).transpose(2, 0, 1), state[0])
+
+    def test_two_calls_match_one_closely(self):
+        rng = np.random.default_rng(51)
+        cells = _random_cell(rng, 4, 6)
+        seqs = rng.standard_normal((5, 20, 4))
+        whole = lstm_forward_batch(seqs, cells)
+        for cut in (1, 9, 19):
+            state = []
+            parts = [lstm_forward_batch(seqs[:, :cut], cells, state=state),
+                     lstm_forward_batch(seqs[:, cut:], cells, state=state)]
+            assert np.allclose(np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-14)
+
+    def test_state_shape_checked(self):
+        rng = np.random.default_rng(52)
+        cells = _random_cell(rng, 3, 5)
+        with pytest.raises(ConfigError, match="state"):
+            lstm_forward_batch(np.zeros((4, 2, 3)), cells, state=[np.zeros((1, 3, 5))] * 2)
+
+    def test_split_at_every_frame_bitwise_on_one_blas_thread(self):
+        # a subprocess, so the BLAS starts pinned to one thread whatever this process runs.
+        # Shapes: a canonical time RNN (23 bands, h 72), its two-group form, and a
+        # band-RNN-sized batch that splits over two workers, each share carrying its rows.
+        script = textwrap.dedent("""
+            import numpy as np
+            from bsrnnlite import rnn
+            from bsrnnlite.rnn import LstmWeights, lstm_forward_batch
+            rng = np.random.default_rng(0)
+            cuts = bad = 0
+            for b, i, h, g, workers in ((23, 126, 72, 1, 1), (23, 63, 36, 2, 1), (96, 24, 8, 1, 2)):
+                rnn._WORKERS = workers
+                cells = LstmWeights(*(rng.uniform(-1, 1, (g, 4 * h) + tail).astype(np.float32)
+                                      for tail in ((i,), (h,), ())))
+                seqs = rng.standard_normal((b, 40, g * i))
+                whole_state = []
+                whole = lstm_forward_batch(seqs, cells, state=whole_state)
+                for cut in range(1, 40):
+                    state = []
+                    parts = [lstm_forward_batch(seqs[:, :cut], cells, state=state),
+                             lstm_forward_batch(seqs[:, cut:], cells, state=state)]
+                    cuts += 1
+                    bad += np.concatenate(parts, axis=1).tobytes() != whole.tobytes()
+                    bad += any(a.tobytes() != w.tobytes() for a, w in zip(state, whole_state))
+            print(cuts, bad)
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        assert tuple(map(int, done.stdout.split())) == (3 * 39, 0)
 
 
 class TestRearrange:

@@ -36,6 +36,15 @@ def test_pcm16_write_clips(tmp_path):
     assert np.array_equal(wavfile.read(path)[1], np.array([-32768, 32767], dtype=np.int16))
 
 
+def test_pcm16_written_in_blocks_as_one_conversion(tmp_path):
+    # two and a half conversion blocks, with values past full scale and on rounding ties
+    x = np.random.default_rng(1).standard_normal(5 * 2**15) * 0.5
+    x[::1000] = np.resize([1.5, -1.5, 0.5 / 32768, 2.5 / 32768], x[::1000].size)
+    write_wav(tmp_path / "p.wav", x, 16000, PCM16)
+    want = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
+    assert wavfile.read(tmp_path / "p.wav")[1].tobytes() == want.tobytes()
+
+
 def test_stereo_rejected(tmp_path):
     path = tmp_path / "s.wav"
     wavfile.write(path, 16000, np.zeros((100, 2), dtype=np.int16))

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 
 from bsrnnlite import ModelConfig, StftConfig, BandConfig, analyze, build, canonical_config, gen_weights
+from bsrnnlite.errors import ConfigError
 from bsrnnlite.macs import CalibrationResult
-from bsrnnlite.rnn import LstmWeights, lstm_forward_batch, rearrange
+from bsrnnlite.rnn import LstmWeights, lstm_forward_batch
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -38,6 +39,19 @@ def random_band_layout(rng: np.random.Generator, num_bins: int, max_bands: int =
     cuts = sorted(rng.choice(np.arange(1, num_bins), size=k - 1, replace=False).tolist())
     edges = [0] + cuts + [num_bins]
     return BandConfig(tuple((edges[i], edges[i + 1]) for i in range(k)))
+
+
+def rearrange(x: np.ndarray, groups: int) -> np.ndarray:
+    """Channel shuffle on the last axis: the order ``lstm_forward_batch`` writes.
+
+    Views the C channels as [groups x C/groups], transposes, flattens.
+    groups=1 is the identity; groups=2 is its own inverse.
+    """
+    c = x.shape[-1]
+    if groups < 1 or c % groups != 0:
+        raise ConfigError(f"channel count {c} not divisible into {groups} groups")
+    head = x.shape[:-1]
+    return x.reshape(head + (groups, c // groups)).swapaxes(-2, -1).reshape(head + (c,))
 
 
 def lstm_forward(seq: np.ndarray, cells: LstmWeights):
