@@ -30,10 +30,10 @@ import numpy as np
 # apply_mask, estimate_mask and istft are not called here; they stay bound
 # because perfbench's tracer wraps each of them on this module by name
 from .bands import apply_mask, band_split, estimate_mask  # noqa: F401
-from .dsp import istft, stft  # noqa: F401
+from .dsp import istft, mono_signal, stft  # noqa: F401
 from .errors import ConfigError
-from .model import (Model, ModelConfig, canonical_config, forward_features, preset_config,
-                    preset_names)
+from .model import (Model, ModelConfig, _chunks, canonical_config, forward_features,
+                    preset_config, preset_names)
 from .prune import SbpStrategy
 from .resample import LwrStrategy, reduced_frames
 
@@ -130,6 +130,8 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
     run) or a ``[K x T x N]`` feature tensor, in which case the band split
     is priced for the T frames it would have produced. The mask head and
     the inverse transform are never run: their cost follows from T alone.
+    A waveform runs in the frame spans ``enhance`` uses, carrying the time
+    RNNs' state, so memory follows a span, not the file.
 
     A row costs each weight matrix it runs through once. A sublayer core
     costs rows x the sizes of its cells' ``w_input`` and ``w_hidden`` and its
@@ -139,17 +141,7 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
     """
     cfg, w = model.config, model.weights
     x = np.asarray(x)
-    if x.ndim == 1:
-        feats = band_split(stft(x, cfg.stft), w.band_split, cfg.bands)
-        duration = x.size / cfg.stft.sample_rate
-    elif x.ndim == 3:
-        feats = x
-        duration = x.shape[1] * cfg.stft.hop_size / cfg.stft.sample_rate
-    else:
-        raise ConfigError(f"input must be a waveform or [K x T x N] features, got shape {x.shape}")
-
     comps = dict.fromkeys(component_order(cfg), 0)
-    comps["band_split"] = feats.shape[1] * sum(b.weight.size for b in w.band_split)
 
     def probe(stage, layer, array):
         if stage in ("band_core", "time_core"):
@@ -158,9 +150,23 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
             comps[f"{stage[:4]}_rnn[{layer}]"] += rows * (
                 sub.cells.w_input.size + sub.cells.w_hidden.size + sub.proj_weight.size)
 
-    forward_features(model, feats, probe=probe)
-    comps["mask_head"] = feats.shape[1] * sum(
-        h.fc1_weight.size + h.fc2_weight.size for h in w.mask_head)
+    if x.ndim == 1:
+        frames = cfg.stft.num_frames(mono_signal(x).size)
+        # a non-causal time RNN needs every frame at once: one span, whatever the length
+        spans = _chunks(cfg, frames) if cfg.time_rnn_causal else [(0, frames)]
+        state = {}
+        for span in spans:
+            feats = band_split(stft(x, cfg.stft, frames=span), w.band_split, cfg.bands)
+            forward_features(model, feats, probe=probe, state=state)
+        duration = x.size / cfg.stft.sample_rate
+    elif x.ndim == 3:
+        frames = x.shape[1]
+        forward_features(model, x, probe=probe)
+        duration = frames * cfg.stft.hop_size / cfg.stft.sample_rate
+    else:
+        raise ConfigError(f"input must be a waveform or [K x T x N] features, got shape {x.shape}")
+    comps["band_split"] = frames * sum(b.weight.size for b in w.band_split)
+    comps["mask_head"] = frames * sum(h.fc1_weight.size + h.fc2_weight.size for h in w.mask_head)
     return MacsReport(comps, duration)
 
 

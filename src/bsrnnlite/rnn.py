@@ -5,10 +5,14 @@ the sublayers, the band split and the mask head. Every multiply-accumulate
 in the network is a matmul against a loaded weight matrix, once per row,
 which is how :func:`bsrnnlite.macs.count_forward` prices it.
 
-Gate order along the stacked 4H axis is (input, forget, cell, output).
-The network computes in float64. A model keeps its weights in the dtype
-they were stored in (float32 from a weights file), and the kernels upcast
-them to float64 at use, which is exact, so every sum is as in float64.
+Gate order along the stacked 4H axis is (input, forget, cell, output) in
+every stored weight. The network computes in float64. A model keeps its
+weights in the dtype they were stored in (float32 from a weights file), and
+the kernels upcast them to float64 at use, which is exact, so every sum is
+as in float64. The recurrent kernel's upcast also reorders the gates to
+(cell, input, forget, output) and halves the three sigmoid gates' rows, so
+that a step runs one ``tanh`` over all gates in place; this is exact too,
+bar subnormal sums (see :func:`lstm_forward_batch`).
 
 Threads: :func:`_split` runs the kernel's batch rows, the first axis of a
 3-D :func:`layer_norm` or :func:`dense`, and the mask head's bands in
@@ -254,23 +258,14 @@ def _cell_layout(width: int, cells: LstmWeights):
     return groups, cells.cell_count // groups
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as ``0.5 * tanh(x / 2) + 0.5``, cheaper than exp-based forms."""
-    y = np.tanh(0.5 * x)
-    y *= 0.5
-    y += 0.5
-    return y
-
-
-def _gate_update(gates: np.ndarray, c: np.ndarray):
-    """Apply the activations and state update to pre-activation gates [..., 4H]."""
-    h_dim = c.shape[-1]
-    i = _sigmoid(gates[..., :h_dim])
-    f = _sigmoid(gates[..., h_dim : 2 * h_dim])
-    g = np.tanh(gates[..., 2 * h_dim : 3 * h_dim])
-    o = _sigmoid(gates[..., 3 * h_dim :])
-    c_next = f * c + i * g
-    return o * np.tanh(c_next), c_next
+def _working_order(gates: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``gates`` [..., 4h], stored (i, f, g, o), written to ``out`` in float64 in
+    the kernel's working order (g, i, f, o), the three sigmoid gates' rows halved."""
+    h = gates.shape[-1] // 4
+    out[..., :h] = gates[..., 2 * h : 3 * h]
+    np.multiply(gates[..., : 2 * h], 0.5, out=out[..., h : 3 * h], dtype=np.float64)
+    np.multiply(gates[..., 3 * h :], 0.5, out=out[..., 3 * h :], dtype=np.float64)
+    return out
 
 
 def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
@@ -287,6 +282,20 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
     state after its last step in it. A sequence cut in two and run as two
     calls carrying one list gives the rows of one call over the whole.
 
+    The weights keep their stored gate order (i, f, g, o). Each call makes
+    float64 copies in the working order (g, i, f, o) with the rows of the
+    three sigmoid gates multiplied by 0.5, so that a step runs one ``tanh``
+    over all 4h gates and turns the last 3h into sigmoids as
+    ``0.5 * tanh(x / 2) + 0.5``, in place. Scaling by a power of two
+    commutes with rounding, so every halved sum is exactly half the
+    unhalved one, and the output is bitwise that of the stored order with
+    an explicit ``tanh(0.5 * x)``, except where a sum falls into the
+    subnormal range (|x| < 2**-1022), where halving can round. The order
+    keeps o last: when 4h is not a multiple of 8 (h odd), OpenBLAS sums the
+    last 4h mod 8 columns of the recurrent GEMM with another micro-kernel,
+    so those columns must stay the stored order's last ones to keep their
+    bits; (i, f, o, g) differed there in the last place at h = 21 and 37.
+
     The rows are independent sequences, split over threads by :func:`_split`
     into shares of at least :data:`MIN_SHARE_ROWS` rows when the cells' gates
     are at least :data:`MIN_SPLIT_GATES` wide and a multiple of 8 wide (h
@@ -295,50 +304,72 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
     """
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
-    i, h = cells.input_dim, cells.hidden_dim
+    n, i, h = cells.cell_count, cells.input_dim, cells.hidden_dim
     if state is not None:
         if not state:
-            state[:] = [np.zeros((cells.cell_count, b, h)) for _ in "hc"]
-        if [part.shape for part in state] != [(cells.cell_count, b, h)] * 2:
-            raise ConfigError(f"state must hold two [{cells.cell_count} x {b} x {h}] arrays, "
+            state[:] = [np.zeros((n, b, h)) for _ in "hc"]
+        if [part.shape for part in state] != [(n, b, h)] * 2:
+            raise ConfigError(f"state must hold two [{n} x {b} x {h}] arrays, "
                               f"got {[part.shape for part in state]}")
-    # upcast once: the loop casts nothing. The recurrent matmul, as few rows as
-    # the batch, runs on a row-major copy; the projection's blocks are large.
-    weights = (cells.w_input.astype(np.float64, copy=False).transpose(0, 2, 1),
-               _row_major(cells.w_hidden), cells.bias.astype(np.float64, copy=False)[:, None])
+    # one upcast per call, into the working order, nothing cached: the loop casts
+    # nothing. The recurrent matmul, as few rows as the batch, runs on a row-major
+    # copy; the projection's blocks are large and read a transposed one.
+    weights = (_working_order(cells.w_input.swapaxes(1, 2), np.empty((n, 4 * h, i)).swapaxes(1, 2)),
+               _working_order(cells.w_hidden.swapaxes(1, 2), np.empty((n, h, 4 * h))),
+               _working_order(cells.bias[:, None], np.empty((n, 1, 4 * h))))
     # [dirs x h x groups] per position is the group-shuffled channel order
     out = np.empty((b, t, dirs, h, groups))
-    run = partial(_run_rows, seqs.reshape(b, t, groups, i), out, weights,
+    run = partial(_run_rows, seqs.reshape(b, t, groups, i).swapaxes(0, 1), out, weights,
                   max(1, PROJECTION_ROWS // max(b, 1)), state)
     _split(run, b, b // MIN_SHARE_ROWS if 4 * h >= MIN_SPLIT_GATES and h % 2 == 0 else 1)
     return out.reshape(b, t, dirs * h * groups)
 
 
-def _run_rows(xs, out, weights, block, carry, lo, hi):
-    """The projection blocks and time loop for batch rows ``[lo, hi)``, into ``out``
-    and, when ``carry`` is a state pair, its rows."""
+def _run_rows(frames, out, weights, block, carry, lo, hi):
+    """The projection blocks and time loop for batch rows ``[lo, hi)`` of the
+    frame-major input ``frames`` ``[T x B x groups x i]``, into ``out`` and,
+    when ``carry`` is a state pair, its rows. A block's hidden states collect
+    step-major in ``hs`` and go to ``out`` once per direction."""
     w_input, w_hidden, bias = weights
-    xs, out = xs[lo:hi], out[lo:hi]
-    rows, t, groups, i = xs.shape
+    frames, out = frames[:, lo:hi], out[lo:hi]
+    t, rows, groups, i = frames.shape
     n, h, dirs = w_hidden.shape[0], w_hidden.shape[1], out.shape[2]
-    # frames[d, s] is the frame that direction d reads at step s
-    frames = np.stack([np.arange(t), np.arange(t)[::-1]])[:dirs]
+    size = min(block, t)
+    xs = np.empty((groups, dirs, size, rows, i))
+    gates_x = np.empty((n, size, rows, 4 * h))
+    hs = np.empty((size, n, rows, h))
+    gates = np.empty((n, rows, 4 * h))
+    g_gate, sigmoids, i_gate, f_gate, o_gate = (gates[..., first * h : last * h] for first, last
+                                                 in ((0, 1), (1, 4), (1, 2), (2, 3), (3, 4)))
     if carry is None:
         state, c = np.zeros((n, rows, h)), np.zeros((n, rows, h))
     else:
         state, c = (np.array(part[:, lo:hi]) for part in carry)
     for start in range(0, t, block):
-        idx = frames[:, start : start + block]
-        steps = idx.shape[1]
-        x = xs[:, idx].transpose(3, 1, 0, 2, 4).reshape(n, rows * steps, i)
-        gates_x = x @ w_input
-        gates_x += bias
-        gates_x = gates_x.reshape(n, rows, steps, 4 * h)
+        steps = min(block, t - start)
+        # the frames direction d reads in this block; a backward cell reads them last first
+        spans = (slice(start, start + steps), slice(t - start - steps, t - start))
+        for d in range(dirs):
+            xs[:, d, :steps] = frames[spans[d]][:: 1 - 2 * d].transpose(2, 0, 1, 3)
+        x = xs[:, :, :steps].reshape(n, steps * rows, i)
+        projected = gates_x[:, :steps].reshape(n, steps * rows, 4 * h)
+        np.matmul(x, w_input, out=projected)
+        projected += bias
         for s in range(steps):
-            state, c = _gate_update(gates_x[:, :, s] + state @ w_hidden, c)
-            by_dir = state.reshape(groups, dirs, rows, h)
-            for d in range(dirs):
-                out[:, idx[d, s], d] = by_dir[:, d].transpose(1, 2, 0)
+            np.matmul(state, w_hidden, out=gates)
+            gates += gates_x[:, s]
+            np.tanh(gates, out=gates)
+            sigmoids *= 0.5
+            sigmoids += 0.5
+            c *= f_gate
+            i_gate *= g_gate
+            c += i_gate
+            state = hs[s]
+            np.tanh(c, out=state)
+            state *= o_gate
+        by_dir = hs[:steps].reshape(steps, groups, dirs, rows, h)
+        for d in range(dirs):
+            out[:, spans[d], d] = by_dir[:, :, d][:: 1 - 2 * d].transpose(2, 0, 3, 1)
     if carry is not None:
         carry[0][:, lo:hi], carry[1][:, lo:hi] = state, c
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way (scalar
-loops, math.exp) and must stay independent of the package's kernels:
+loops, math.exp, or the package's first vectorised forms, gathers and
+scatters included) and must stay independent of the package's kernels:
 these routes and the production routes agreeing is the point of the
 tests that import this module.
 """
@@ -55,6 +56,73 @@ def naive_lstm_forward(seq, w_input, w_hidden, bias, bidirectional=False):
         return np.array(fwd)
     bwd = run(seq[::-1])[::-1]
     return np.array([a + b_ for a, b_ in zip(fwd, bwd)])
+
+
+def _half_tanh_sigmoid(x):
+    y = np.tanh(0.5 * x)
+    y *= 0.5
+    y += 0.5
+    return y
+
+
+def _gate_update(gates, c):
+    """Activations and state update on pre-activation gates [..., 4H], (i, f, g, o)."""
+    h_dim = c.shape[-1]
+    i = _half_tanh_sigmoid(gates[..., :h_dim])
+    f = _half_tanh_sigmoid(gates[..., h_dim : 2 * h_dim])
+    g = np.tanh(gates[..., 2 * h_dim : 3 * h_dim])
+    o = _half_tanh_sigmoid(gates[..., 3 * h_dim :])
+    c_next = f * c + i * g
+    return o * np.tanh(c_next), c_next
+
+
+def gathered_lstm_forward_batch(seqs, cells, shares, *, state=None, projection_rows=512):
+    """The stacked-cell LSTM kernel in its first vectorised form: the bitwise oracle.
+
+    Same contract and GEMM shapes as ``rnn.lstm_forward_batch``, computed
+    the plain way: the weights upcast in their stored (i, f, g, o) order,
+    each projection block gathered from its frames by fancy indexing, one
+    sigmoid per gate, and each step's hidden state scattered to the
+    shuffled output. ``shares`` are the ``(lo, hi)`` row ranges the
+    kernel's threads ran; each runs alone here, so every GEMM has the row
+    count the kernel's has. ``state`` is carried as the kernel carries it.
+    """
+    b, t, width = seqs.shape
+    n, four_h, in_dim = cells.w_input.shape
+    h = four_h // 4
+    groups = width // in_dim
+    dirs = n // groups
+    w_input = cells.w_input.astype(np.float64, copy=False).transpose(0, 2, 1)
+    w_hidden = np.ascontiguousarray(cells.w_hidden.swapaxes(-1, -2), dtype=np.float64)
+    bias = cells.bias.astype(np.float64, copy=False)[:, None]
+    if state is not None and not state:
+        state[:] = [np.zeros((n, b, h)) for _ in "hc"]
+    out = np.empty((b, t, dirs, h, groups))
+    block = max(1, projection_rows // max(b, 1))
+    # frames[d, s] is the frame that direction d reads at step s
+    frames = np.stack([np.arange(t), np.arange(t)[::-1]])[:dirs]
+    for lo, hi in shares:
+        xs = seqs.reshape(b, t, groups, in_dim)[lo:hi]
+        rows = hi - lo
+        if state is None:
+            hid, c = np.zeros((n, rows, h)), np.zeros((n, rows, h))
+        else:
+            hid, c = (np.array(part[:, lo:hi]) for part in state)
+        for start in range(0, t, block):
+            idx = frames[:, start : start + block]
+            steps = idx.shape[1]
+            x = xs[:, idx].transpose(3, 1, 0, 2, 4).reshape(n, rows * steps, in_dim)
+            gates_x = x @ w_input
+            gates_x += bias
+            gates_x = gates_x.reshape(n, rows, steps, four_h)
+            for s in range(steps):
+                hid, c = _gate_update(gates_x[:, :, s] + hid @ w_hidden, c)
+                by_dir = hid.reshape(groups, dirs, rows, h)
+                for d in range(dirs):
+                    out[lo:hi, idx[d, s], d] = by_dir[:, d].transpose(1, 2, 0)
+        if state is not None:
+            state[0][:, lo:hi], state[1][:, lo:hi] = hid, c
+    return out.reshape(b, t, dirs * h * groups)
 
 
 def naive_layer_norm(x, gamma, beta, eps=1e-5):

@@ -1,7 +1,12 @@
 """Closed-form analyzer, the instrumented counter, and the variant table."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -17,11 +22,17 @@ from bsrnnlite import (
     canonical_config,
     count_forward,
     gen_weights,
+    preset_config,
+    preset_names,
     reduction_table,
 )
+from bsrnnlite import bands, dsp, macs
+from bsrnnlite import model as model_mod
 from bsrnnlite.macs import REFERENCE_GPS, analyze_frames, component_order
 
 from util import build_tiny, calibrate_by_analyze, tiny_config
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestClosedForm:
@@ -167,6 +178,76 @@ class TestCounterAgreement:
         cfg, model = build_tiny()
         report = count_forward(model, np.random.default_rng(5).standard_normal(400) * 0.1)
         assert report.components == analyze_frames(cfg, cfg.stft.num_frames(400))
+
+
+#: the five presets and four more plans: PPS, SYNC, ALL and LWR-ASYNC(16) + SBP-A
+_SPAN_PLANS = {
+    **{name: preset_config(name) for name in preset_names()},
+    "pps4": canonical_config().with_resample(LwrStrategy.pps(4)),
+    "sync4": canonical_config().with_resample(LwrStrategy.sync(4)),
+    "all4": canonical_config().with_resample(LwrStrategy.all_layers(4)),
+    "sbp-a": (canonical_config().with_resample(LwrStrategy.alternating(16))
+              .with_prune(SbpStrategy.aggressive())),
+}
+
+
+class TestCountInSpans:
+    """A waveform is counted in ``enhance``'s frame spans, at the one-pass price."""
+
+    @pytest.mark.parametrize("plan", _SPAN_PLANS)
+    def test_spans_price_as_one_pass(self, plan, monkeypatch):
+        # the real bands, STFT and plans at narrow widths, so that 513 frames stay cheap
+        cfg = dataclasses.replace(_SPAN_PLANS[plan], feature_dim=8, hidden_dim=8)
+        model = build(cfg, gen_weights(cfg, seed=0))
+        passes = []
+        real = macs.forward_features
+        monkeypatch.setattr(macs, "forward_features",
+                            lambda net, feats, **kw: (passes.append(feats.shape[1]),
+                                                      real(net, feats, **kw))[1])
+        rng = np.random.default_rng(21)
+        for frames in (255, 256, 257, 513):
+            wave = rng.standard_normal((frames - 1) * cfg.stft.hop_size).astype(np.float32) * 0.1
+            assert cfg.stft.num_frames(wave.size) == frames
+            one_pass = count_forward(
+                model, bands.band_split(dsp.stft(wave, cfg.stft), model.weights.band_split, cfg.bands))
+            passes.clear()
+            got = count_forward(model, wave)
+            assert passes == [hi - lo for lo, hi in model_mod._chunks(cfg, frames)]
+            assert len(passes) == 1 + (frames > 256) + (frames > 512)
+            assert got.components == one_pass.components == analyze_frames(cfg, frames)
+            assert got.duration == wave.size / cfg.stft.sample_rate
+
+    def test_non_causal_counts_in_one_pass_past_the_enhance_limit(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "WHOLE_FILE_FRAMES", 300)
+        cfg, model = build_tiny(time_rnn_causal=False)
+        wave = np.random.default_rng(22).standard_normal(512 * cfg.stft.hop_size) * 0.1
+        assert count_forward(model, wave).components == analyze_frames(cfg, 513)
+
+    def test_peak_memory_follows_the_span(self):
+        # peak RSS after a 4 s and then a 40 s count (1 and 10 spans): the whole-file
+        # count grew with the file, to 488 MiB after 60 s of canonical-v1
+        pytest.importorskip("resource")
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from bsrnnlite import build, count_forward, gen_weights, preset_config
+            cfg = preset_config("canonical-v1-full")
+            net = build(cfg, gen_weights(cfg, 0))
+            rng = np.random.default_rng(0)
+            peaks = []
+            for seconds in (4, 40):
+                count_forward(net, (rng.standard_normal(seconds * 16000) * 0.1).astype(np.float32))
+                peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            print(*peaks)
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        short, long = map(int, done.stdout.split())
+        scale = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes there, KiB here
+        assert (long - short) / scale < 30
 
 
 class TestCanonicalNumbers:

@@ -21,7 +21,8 @@ from bsrnnlite.rnn import dense, layer_norm, lstm_forward_batch
 from reference import naive_lstm_forward
 from util import compose_by_hand, lstm_forward, one_cell, rearrange
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def _random_cell(rng, in_dim, hidden_dim, cells=1):
@@ -458,6 +459,56 @@ class TestRowSplit:
         with pytest.raises(RuntimeError, match=f"row {failing} failed"):
             lstm_forward_batch(np.zeros((192, 4, 3)), cells)
         assert sorted(finished) == sorted({0, 64, 128} - {failing})
+
+
+class TestGatheredOracle:
+    """The kernel against its first vectorised form, byte for byte (``reference``)."""
+
+    def test_bitwise_over_a_shape_grid_on_one_blas_thread(self):
+        # a subprocess, so the BLAS starts pinned to one thread whatever this process runs
+        script = textwrap.dedent("""
+            import itertools
+            import numpy as np
+            from bsrnnlite import rnn
+            from bsrnnlite.rnn import LstmWeights, lstm_forward_batch
+            from reference import gathered_lstm_forward_batch
+            rng = np.random.default_rng(7)
+            shares, real = [], rnn._run_rows
+            rnn._run_rows = lambda *args: (shares.append(args[-2:]), real(*args))
+            runs = split = bad = 0
+            for h, (g, d), rows in itertools.product(
+                    (1, 2, 3, 4, 5, 8, 21, 36, 37, 72),
+                    ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)), (7, 512)):
+                i = int(rng.integers(1, 40))
+                dtype = np.float64 if rows == 7 else np.float32
+                cells = LstmWeights(*(rng.uniform(-1, 1, (g * d, 4 * h) + tail).astype(dtype)
+                                      for tail in ((i,), (h,), ())))
+                rnn.PROJECTION_ROWS = rows
+                for (b, t), workers, carried in itertools.product(
+                        ((1, 26), (49, 9), (73, 3)), (1, 2, 3), (False, True)):
+                    seqs = rng.standard_normal((b, t, g * i))
+                    start = [rng.standard_normal((g * d, b, h)) for _ in "hc"]
+                    state, want_state = ([a.copy() for a in start] if carried else None
+                                         for _ in "ko")
+                    rnn._WORKERS = workers
+                    shares.clear()
+                    got = lstm_forward_batch(seqs, cells, state=state)
+                    want = gathered_lstm_forward_batch(seqs, cells, sorted(shares),
+                                                       state=want_state, projection_rows=rows)
+                    runs += 1
+                    split += len(shares) > 1
+                    bad += got.tobytes() != want.tobytes() or carried and any(
+                        a.tobytes() != z.tobytes() for a, z in zip(state, want_state))
+            print(runs, split, bad)
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, TESTS, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        runs, split, bad = map(int, done.stdout.split())
+        # h = 8, 36 and 72 split 49 and 73 rows at 2 and 3 workers
+        assert (runs, split, bad) == (10 * 5 * 2 * 3 * 3 * 2, 3 * 5 * 2 * 2 * 2 * 2, 0)
 
 
 class TestHelperSplit:
