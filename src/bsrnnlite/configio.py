@@ -131,7 +131,7 @@ def load_config(spec: str | Path) -> ModelConfig:
         )
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(doc, source=str(path))
 

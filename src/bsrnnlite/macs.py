@@ -152,10 +152,8 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
 
     if x.ndim == 1:
         frames = cfg.stft.num_frames(mono_signal(x).size)
-        # a non-causal time RNN needs every frame at once: one span, whatever the length
-        spans = _chunks(cfg, frames) if cfg.time_rnn_causal else [(0, frames)]
         state = {}
-        for span in spans:
+        for span in _chunks(cfg, frames):
             feats = band_split(stft(x, cfg.stft, frames=span), w.band_split, cfg.bands)
             forward_features(model, feats, probe=probe, state=state)
         duration = x.size / cfg.stft.sample_rate

@@ -330,8 +330,8 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     pruning. Output shape always equals the input shape, whatever the
     resampling and pruning plans do internally.
 
-    The first sublayer writes its residual sum to a new array and every
-    later one adds into that array, so ``features`` is never written, and
+    The stack takes one float64 copy of ``features`` and every sublayer
+    adds its residual into that copy, so ``features`` is never written, and
     a probe that keeps an array must copy it.
 
     ``state``, a dict, carries each time RNN's state from call to call:
@@ -341,8 +341,8 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     call on all of them.
     """
     cfg = model.config
-    x = np.asarray(features, dtype=np.float64)
-    del features  # see the hand-over below
+    x = np.array(features, dtype=np.float64)
+    del features  # a temporary input is freed before the first core runs
     if x.ndim != 3 or x.shape[::2] != (cfg.num_bands, cfg.feature_dim) or not x.shape[1]:
         raise ConfigError(
             f"features must be [{cfg.num_bands} x T x {cfg.feature_dim}] with T >= 1, got {x.shape}"
@@ -355,17 +355,15 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
 
     pps_factor, rows = cfg.plan
     w = model.weights
+    state = {} if state is None else state
 
     def run_stack(y):
         layers = zip(rows, w.band_layers, w.time_layers, strict=True)
         for layer, ((band_factor, time_factor, skip), bw, tw) in enumerate(layers, start=1):
-            carry = None if state is None else state.setdefault(layer, [])
+            carry = state.setdefault(layer, [])
             emit("band_in", layer, y)
             y = resampled_sublayer(
-                y,
-                lambda z: _sublayer_core(emit("band_core", layer, z), bw, True),
-                band_factor,
-                in_place=layer > 1,
+                y, lambda z: _sublayer_core(emit("band_core", layer, z), bw, True), band_factor
             )
             emit("band_out", layer, y)
             emit("time_in", layer, y)
@@ -375,20 +373,13 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
                     z,
                     lambda q: _sublayer_core(emit("time_core", layer, q), tw, False, carry),
                     time_factor,
-                    in_place=True,
                 ),
                 skip,
-                in_place=True,
             )
             emit("time_out", layer, y)
         return y
 
-    if pps_factor > 1:
-        return pps_wrap(x, pps_factor, run_stack)
-    # hand the input over, so that the first residual frees it when no caller holds it
-    handover = [x]
-    del x
-    return run_stack(handover.pop())
+    return pps_wrap(x, pps_factor, run_stack) if pps_factor > 1 else run_stack(x)
 
 
 #: most frames one pass of the layer stack runs in :func:`enhance`. A longer
@@ -410,15 +401,7 @@ def _chunks(config: ModelConfig, frames: int) -> list:
     factor; ``limit`` is the largest multiple of the unit up to
     CHUNK_FRAMES (at least one unit).
     """
-    if frames <= CHUNK_FRAMES:
-        return [(0, frames)]
-    if not config.time_rnn_causal:
-        if frames > WHOLE_FILE_FRAMES:
-            seconds = WHOLE_FILE_FRAMES * config.stft.hop_size / config.stft.sample_rate
-            raise ConfigError(
-                f"a non-causal time RNN needs the whole file at once, so enhance takes at "
-                f"most {WHOLE_FILE_FRAMES} frames (about {seconds:.1f} s); the input has {frames}"
-            )
+    if frames <= CHUNK_FRAMES or not config.time_rnn_causal:
         return [(0, frames)]
     pps_factor, rows = config.plan
     unit = pps_factor * max((max(b, t) for b, t, _ in rows), default=1)
@@ -440,10 +423,16 @@ def enhance(model: Model, noisy: np.ndarray, oa: OaConfig | None = None) -> np.n
     """
     cfg, w = model.config, model.weights
     noisy = mono_signal(noisy)
-    spans = _chunks(cfg, cfg.stft.num_frames(noisy.size))
+    frames = cfg.stft.num_frames(noisy.size)
+    if not cfg.time_rnn_causal and frames > WHOLE_FILE_FRAMES:
+        seconds = WHOLE_FILE_FRAMES * cfg.stft.hop_size / cfg.stft.sample_rate
+        raise ConfigError(
+            f"a non-causal time RNN needs the whole file at once, so enhance takes at "
+            f"most {WHOLE_FILE_FRAMES} frames (about {seconds:.1f} s); the input has {frames}"
+        )
     out = np.empty(noisy.size, dtype=np.float32)
     state, tail, done = {}, IstftTail(), 0
-    for span in spans:
+    for span in _chunks(cfg, frames):
         spec = stft(noisy, cfg.stft, frames=span)
         feats = forward_features(model, band_split(spec, w.band_split, cfg.bands), state=state)
         mask = estimate_mask(feats, w.mask_head, cfg.bands)

@@ -80,22 +80,18 @@ def prune_schedule(strategy: SbpStrategy, num_layers: int, num_bands: int) -> tu
     return tuple(range(1, num_layers + 1))
 
 
-def apply_pruned_time_rnn(features: np.ndarray, sublayer, skip_count: int, *,
-                          in_place=False) -> np.ndarray:
-    """Run ``sublayer`` on the lowest bands, copy the top ``skip_count`` through.
+def apply_pruned_time_rnn(features: np.ndarray, sublayer, skip_count: int) -> np.ndarray:
+    """Run ``sublayer`` on the lowest bands, pass the top ``skip_count`` through.
 
     ``features`` is ``[K x T x N]``; ``sublayer`` maps ``[K' x T x N]`` to the
-    same shape (residual included). The skipped bands are returned bitwise
-    unchanged. With ``in_place`` the result is stored in ``features``: the
-    skipped bands stay where they are, and a sublayer that updates its view
-    of the active bands in place leaves nothing to copy.
+    same shape (residual included). The result is stored in ``features``,
+    which is returned: the skipped bands stay where they are, bitwise
+    unchanged, and a sublayer that updates its view of the active bands in
+    place leaves nothing to copy.
     """
     k = features.shape[0]
     if not 0 <= skip_count <= k - 1:
         raise ConfigError(f"skip_count must be in [0, {k - 1}], got {skip_count}")
     active = k - skip_count
-    processed = sublayer(features[:active])
-    if in_place:
-        features[:active] = processed  # a no-op when the sublayer wrote into this view
-        return features
-    return processed if skip_count == 0 else np.concatenate([processed, features[active:]])
+    features[:active] = sublayer(features[:active])  # a no-op when the sublayer wrote into this view
+    return features

@@ -138,27 +138,28 @@ def upsample_t(features: np.ndarray, factor: int, target_frames: int) -> np.ndar
     return held[..., :target_frames, :]
 
 
-def resampled_sublayer(features: np.ndarray, core, factor: int, *, in_place=False) -> np.ndarray:
+def resampled_sublayer(features: np.ndarray, core, factor: int) -> np.ndarray:
     """Residual block with the core computed at 1/factor frame rate.
 
     ``core`` maps ``[... x T' x N]`` to the same shape. With factor 1 this
-    is a plain residual block with no hold. The sum goes to a new array, or
-    with ``in_place`` into ``features``. The core's output is only read, and
-    each held frame is added where it lands, so no full-rate copy of it is
-    made.
+    is a plain residual block with no hold. The held core output is added
+    into ``features``, which is returned. The core's output is only read,
+    and each held frame is added where it lands, so no full-rate copy of it
+    is made.
     """
     held = core(features if factor == 1 else downsample_t(features, factor))
-    out = features if in_place else features.copy()
     for phase in range(factor):
-        frames = out[..., phase::factor, :]
+        frames = features[..., phase::factor, :]
         frames += held[..., : frames.shape[-2], :]
-    return out
+    return features
 
 
 def pps_wrap(features: np.ndarray, factor: int, stack) -> np.ndarray:
     """Run a whole layer stack at 1/factor rate, hold back to the input rate.
 
-    No residual: the stack's own sublayers carry their residuals.
+    No residual: the stack's own sublayers carry their residuals. The stack
+    gets :func:`downsample_t`'s strided view of ``features``, so a stack
+    that adds in place writes into every factor-th frame of ``features``.
     """
     target = features.shape[-2]
     return upsample_t(stack(downsample_t(features, factor)), factor, target)

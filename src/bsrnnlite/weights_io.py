@@ -129,7 +129,7 @@ def load_weights(path: str | Path):
         raise WeightsFormatError("header length exceeds file size")
     try:
         doc = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise WeightsFormatError(f"corrupt header: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("tensors"), dict):
         raise WeightsFormatError("header missing tensor manifest")

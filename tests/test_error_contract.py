@@ -30,6 +30,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 CONFIG = tiny_config(resample=LwrStrategy.sync(2, target_layers=(1,)),
                      prune=SbpStrategy.aggressive(1))
 CONFIG_DOC = config_to_dict(CONFIG)
+CONFIG_RAW = json.dumps(CONFIG_DOC).encode()
 WEIGHTS = gen_weights(CONFIG, seed=0)
 WAV_HEADER = 44  # RIFF, fmt and data chunk headers of a plain pcm16 file
 
@@ -105,7 +106,7 @@ def _assert_contract(code, stderr, allowed):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
-    (root / "config.json").write_text(json.dumps(CONFIG_DOC))
+    (root / "config.json").write_bytes(CONFIG_RAW)
     save_weights(root / "weights.bsrw", WEIGHTS)
     noise = np.random.default_rng(5).standard_normal(400).astype(np.float32) * 0.1
     wavio.write_wav(root / "noisy.wav", noise, CONFIG.stft.sample_rate, wavio.PCM16)
@@ -135,6 +136,19 @@ def test_mutated_config_document(files, path, value):
     _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_CONFIG})
 
 
+@PROPERTY
+@given(edits=st.lists(st.tuples(st.integers(0, len(CONFIG_RAW) - 1), st.integers(0, 255)),
+                      max_size=3),
+       cut=st.none() | st.integers(0, len(CONFIG_RAW)),
+       prefix=st.binary(max_size=3))
+@example(edits=[(0, 0xFF)], cut=None, prefix=b"")  # not UTF-8: UnicodeDecodeError
+@example(edits=[], cut=0, prefix=b"[" * 100_000)  # nested past the parser's depth: RecursionError
+def test_mutated_config_file(files, edits, cut, prefix):
+    (files / "mutated.json").write_bytes(prefix + _edited(CONFIG_RAW, edits, cut))
+    code, stderr = _run(["analyze", "--config", str(files / "mutated.json")])
+    _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_CONFIG})
+
+
 def _poisoned(raw: bytes, name: str, value: float) -> bytes:
     """``raw`` with the first value of tensor ``name`` overwritten."""
     header_len = int(np.frombuffer(raw[8:16], np.uint64)[0])
@@ -158,6 +172,14 @@ def test_mutated_weights_file(files, edits, cut, poison):
     _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_WEIGHTS})
     if poison is not None:
         assert code == cli.EXIT_WEIGHTS
+
+
+def test_deeply_nested_weights_header(files):
+    header = b"[" * 100_000
+    raw = (files / "weights.bsrw").read_bytes()[:8] + np.uint64(len(header)).tobytes() + header
+    (files / "mutated.bsrw").write_bytes(raw)
+    code, stderr = _enhance(files, weights="mutated.bsrw")
+    _assert_contract(code, stderr, {cli.EXIT_WEIGHTS})
 
 
 @PROPERTY

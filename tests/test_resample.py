@@ -43,12 +43,15 @@ class TestStride:
 
 
 class TestResampledSublayer:
+    # the helper adds into the array it is given and returns it, so the expected
+    # values come from a copy taken before the call
     def test_factor_one_is_plain_residual(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 6, 4))
         core_out = rng.standard_normal((3, 6, 4))
+        want = x + core_out
         got = resampled_sublayer(x, lambda z: core_out, 1)
-        assert np.array_equal(got, x + core_out)
+        assert got is x and np.array_equal(got, want)
 
     def test_factor_one_holds_nothing(self, monkeypatch):
         def no_hold(*args):
@@ -56,19 +59,22 @@ class TestResampledSublayer:
 
         monkeypatch.setattr(resample, "upsample_t", no_hold)
         x = np.random.default_rng(4).standard_normal((2, 5, 3))
-        assert np.array_equal(resampled_sublayer(x, lambda z: 2.0 * z, 1), 3.0 * x)
+        want = 3.0 * x
+        got = resampled_sublayer(x, lambda z: 2.0 * z, 1)
+        assert got is x and np.array_equal(got, want)
 
     def test_zero_core_is_identity(self):
         x = np.random.default_rng(2).standard_normal((3, 7, 4))
-        assert np.array_equal(resampled_sublayer(x, np.zeros_like, 3), x)
+        before = x.copy()
+        assert np.array_equal(resampled_sublayer(x, np.zeros_like, 3), before)
 
     def test_matches_manual_expansion(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 5, 3))
-        core = lambda z: 2.0 * z
-        got = resampled_sublayer(x, core, 2)
         held = np.repeat(2.0 * x[:, ::2], 2, axis=1)[:, :5]
-        assert np.array_equal(got, x + held)
+        want = x + held
+        got = resampled_sublayer(x, lambda z: 2.0 * z, 2)
+        assert got is x and np.array_equal(got, want)
 
     def test_core_sees_reduced_rate(self):
         seen = {}
@@ -81,14 +87,14 @@ class TestResampledSublayer:
         resampled_sublayer(x, core, 4)
         assert seen["frames"] == 3
 
-
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_in_place_adds_into_features(self, factor):
+        # the core reads the frames before any sum lands: the held sum of a copy
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 7, 3))
-        core = lambda z: np.sin(z)
-        want = resampled_sublayer(x, core, factor)
-        got = resampled_sublayer(x, core, factor, in_place=True)
+        held = upsample_t(np.sin(downsample_t(x, factor)), factor, 7)
+        want = x + held
+        got = resampled_sublayer(x, np.sin, factor)
         assert got is x and got.tobytes() == want.tobytes()
 
 
@@ -111,6 +117,16 @@ class TestPpsWrap:
 
         pps_wrap(np.zeros((1, 10, 2)), 4, stack)
         assert seen["t"] == 3
+
+    def test_stack_runs_on_a_view_of_the_input(self):
+        def stack(z):  # adds in place, as the layer stack does
+            z += 1.0
+            return z
+
+        x = np.zeros((1, 7, 2))
+        got = pps_wrap(x, 3, stack)
+        assert x[0, :, 0].tolist() == [1, 0, 0, 1, 0, 0, 1]
+        assert np.array_equal(got, np.ones_like(x))
 
 
 def _flags(pairs):
