@@ -154,8 +154,8 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
         frames = cfg.stft.num_frames(mono_signal(x).size)
         state = {}
         for span in _chunks(cfg, frames):
-            feats = band_split(stft(x, cfg.stft, frames=span), w.band_split, cfg.bands)
-            forward_features(model, feats, probe=probe, state=state)
+            forward_features(model, band_split(stft(x, cfg.stft, frames=span), w.band_split, cfg.bands),
+                             probe=probe, state=state)
         duration = x.size / cfg.stft.sample_rate
     elif x.ndim == 3:
         frames = x.shape[1]

@@ -332,7 +332,8 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
 
     The stack takes one float64 copy of ``features`` and every sublayer
     adds its residual into that copy, so ``features`` is never written, and
-    a probe that keeps an array must copy it.
+    a probe that keeps an array must copy it. A temporary ``features`` is
+    freed before the first core runs on CPython 3.11+ (only there).
 
     ``state``, a dict, carries each time RNN's state from call to call:
     empty on the first call, then passed to the call on the frames that
@@ -342,7 +343,7 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     """
     cfg = model.config
     x = np.array(features, dtype=np.float64)
-    del features  # a temporary input is freed before the first core runs
+    del features  # older CPythons hold a call's arguments until it returns
     if x.ndim != 3 or x.shape[::2] != (cfg.num_bands, cfg.feature_dim) or not x.shape[1]:
         raise ConfigError(
             f"features must be [{cfg.num_bands} x T x {cfg.feature_dim}] with T >= 1, got {x.shape}"

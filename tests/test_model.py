@@ -241,8 +241,12 @@ class TestForward:
     def test_peak_memory_of_the_stack(self, name, bound):
         # traced peak of one 256-frame pass, the input passed as a temporary as enhance
         # passes the band split's output, in units of the input's bytes. Read on two CPUs,
-        # BLAS pinned and unpinned: 4.32-4.35 (canonical-v1), 4.24-4.27 (-full) and
-        # 2.49-2.50 (pps(4))
+        # BLAS pinned and unpinned: 4.32-4.36 (canonical-v1), 4.24-4.27 (-full) and
+        # 2.49-2.50 (pps(4)). Before CPython 3.11 the caller holds its arguments until
+        # the call returns, so the temporary lives through the pass: one input more
+        # (5.32-5.36, 5.24-5.27 and 3.49-3.50 with the caller keeping a reference)
+        if sys.version_info < (3, 11):
+            bound += 1.0
         cfg = (canonical_config().with_resample(LwrStrategy.pps(4), name) if name == "pps4"
                else preset_config(name))
         model = build(cfg, gen_weights(cfg, seed=0))
