@@ -36,6 +36,10 @@ EXIT_CONFIG = 4
 EXIT_IO = 5
 EXIT_USAGE = 64
 
+#: longest ``bench --seconds``: bench makes its noise input in memory, at a
+#: peak of 12 bytes a sample (0.7 GB at 16 kHz at this limit)
+BENCH_SECONDS = 3600.0
+
 
 def _load_model(config_spec: str, weights_path: str):
     config = configio.load_config(config_spec)
@@ -133,6 +137,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     config = configio.load_config(args.config)
     report = macs.analyze(config, args.seconds)  # also rejects a duration under one sample
+    if args.seconds > BENCH_SECONDS:
+        raise ConfigError(f"--seconds must be at most {BENCH_SECONDS:g}, got {args.seconds:g}")
     if args.weights is not None:
         arrays, _meta = weights_io.load_weights(args.weights)
     else:

@@ -110,8 +110,8 @@ def analyze_frames(config: ModelConfig, num_frames: int) -> dict:
 
 def _duration_frames(config: ModelConfig, duration: float) -> int:
     """Frame count of ``duration`` seconds of audio, checked as :func:`analyze` needs."""
-    if not (math.isfinite(duration) and duration > 0):
-        raise ConfigError(f"duration must be finite and positive, got {duration}")
+    if not (math.isfinite(duration * config.stft.sample_rate) and duration > 0):
+        raise ConfigError(f"duration must be positive with a finite sample count, got {duration}")
     num_samples = int(round(duration * config.stft.sample_rate))
     if num_samples < 1:
         raise ConfigError(f"duration {duration} shorter than one sample")
@@ -119,8 +119,11 @@ def _duration_frames(config: ModelConfig, duration: float) -> int:
 
 
 def analyze(config: ModelConfig, duration: float = 1.0) -> MacsReport:
-    """Closed-form cost of enhancing ``duration`` seconds of audio."""
-    return MacsReport(analyze_frames(config, _duration_frames(config, duration)), duration)
+    """Closed-form cost of enhancing ``duration`` seconds of audio; refused past int64."""
+    comps = analyze_frames(config, _duration_frames(config, duration))
+    if sum(comps.values()) > np.iinfo(np.int64).max:
+        raise ConfigError(f"{duration} s of this config prices a MAC total beyond int64")
+    return MacsReport(comps, duration)
 
 
 def count_forward(model: Model, x: np.ndarray) -> MacsReport:
@@ -131,7 +134,8 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
     is priced for the T frames it would have produced. The mask head and
     the inverse transform are never run: their cost follows from T alone.
     A waveform runs in the frame spans ``enhance`` uses, carrying the time
-    RNNs' state, so memory follows a span, not the file.
+    RNNs' state, so memory follows a span, not the file; with a non-causal
+    time RNN it is refused past ``model.WHOLE_FILE_FRAMES``, as in ``enhance``.
 
     A row costs each weight matrix it runs through once. A sublayer core
     costs rows x the sizes of its cells' ``w_input`` and ``w_hidden`` and its

@@ -35,7 +35,7 @@ from .bands import (
 from .dsp import IstftTail, OaConfig, StftConfig, istft, mono_signal, observation_add, stft
 from .errors import ConfigError, WeightsFormatError
 from .prune import SbpStrategy, apply_pruned_time_rnn, prune_schedule
-from .resample import LwrStrategy, plan_resampling, pps_wrap, resampled_sublayer
+from .resample import LwrStrategy, downsample_t, plan_resampling, resampled_sublayer, upsample_t
 from .rnn import GroupedLayerWeights, LstmWeights, dense, layer_norm
 
 #: calibrated reference dims (see macs.calibrate_feature_dims)
@@ -330,10 +330,11 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     pruning. Output shape always equals the input shape, whatever the
     resampling and pruning plans do internally.
 
-    The stack takes one float64 copy of ``features`` and every sublayer
-    adds its residual into that copy, so ``features`` is never written, and
-    a probe that keeps an array must copy it. A temporary ``features`` is
-    freed before the first core runs on CPython 3.11+ (only there).
+    The stack takes one float64 copy of the frames it runs (with PPS, every
+    factor-th one) and every sublayer adds its residual into that copy, so
+    ``features`` is never written, and a probe that keeps an array must copy
+    it. A temporary ``features`` is freed before the first core runs on
+    CPython 3.11+ (only there).
 
     ``state``, a dict, carries each time RNN's state from call to call:
     empty on the first call, then passed to the call on the frames that
@@ -342,11 +343,11 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     call on all of them.
     """
     cfg = model.config
-    x = np.array(features, dtype=np.float64)
-    del features  # older CPythons hold a call's arguments until it returns
-    if x.ndim != 3 or x.shape[::2] != (cfg.num_bands, cfg.feature_dim) or not x.shape[1]:
+    features = np.asarray(features)
+    shape = features.shape
+    if len(shape) != 3 or shape[::2] != (cfg.num_bands, cfg.feature_dim) or not shape[1]:
         raise ConfigError(
-            f"features must be [{cfg.num_bands} x T x {cfg.feature_dim}] with T >= 1, got {x.shape}"
+            f"features must be [{cfg.num_bands} x T x {cfg.feature_dim}] with T >= 1, got {shape}"
         )
 
     def emit(stage, layer, array):
@@ -357,51 +358,55 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     pps_factor, rows = cfg.plan
     w = model.weights
     state = {} if state is None else state
-
-    def run_stack(y):
-        layers = zip(rows, w.band_layers, w.time_layers, strict=True)
-        for layer, ((band_factor, time_factor, skip), bw, tw) in enumerate(layers, start=1):
-            carry = state.setdefault(layer, [])
-            emit("band_in", layer, y)
-            y = resampled_sublayer(
-                y, lambda z: _sublayer_core(emit("band_core", layer, z), bw, True), band_factor
-            )
-            emit("band_out", layer, y)
-            emit("time_in", layer, y)
-            y = apply_pruned_time_rnn(
-                y,
-                lambda z: resampled_sublayer(
-                    z,
-                    lambda q: _sublayer_core(emit("time_core", layer, q), tw, False, carry),
-                    time_factor,
-                ),
-                skip,
-            )
-            emit("time_out", layer, y)
-        return y
-
-    return pps_wrap(x, pps_factor, run_stack) if pps_factor > 1 else run_stack(x)
+    x = np.array(downsample_t(features, pps_factor), dtype=np.float64)
+    del features  # older CPythons hold a call's arguments until it returns
+    layers = zip(rows, w.band_layers, w.time_layers, strict=True)
+    for layer, ((band_factor, time_factor, skip), bw, tw) in enumerate(layers, start=1):
+        carry = state.setdefault(layer, [])
+        emit("band_in", layer, x)
+        x = resampled_sublayer(
+            x, lambda z: _sublayer_core(emit("band_core", layer, z), bw, True), band_factor
+        )
+        emit("band_out", layer, x)
+        emit("time_in", layer, x)
+        x = apply_pruned_time_rnn(
+            x,
+            lambda z: resampled_sublayer(
+                z,
+                lambda q: _sublayer_core(emit("time_core", layer, q), tw, False, carry),
+                time_factor,
+            ),
+            skip,
+        )
+        emit("time_out", layer, x)
+    return x if pps_factor == 1 else upsample_t(x, pps_factor, shape[1])
 
 
 #: most frames one pass of the layer stack runs in :func:`enhance`. A longer
 #: file runs in balanced chunks of at most this many frames, so its peak
 #: memory follows the chunk, not the file.
 CHUNK_FRAMES = 256
-#: most frames :func:`enhance` takes with a non-causal time RNN, which needs
-#: the whole file at once (65.5 s at 16 kHz with the default STFT)
+#: most frames of a waveform with a non-causal time RNN, which needs the
+#: whole file at once (65.5 s at 16 kHz with the default STFT)
 WHOLE_FILE_FRAMES = 4096
 
 
 def _chunks(config: ModelConfig, frames: int) -> list:
-    """The ``(start, end)`` frame spans :func:`enhance` runs the stack on.
+    """The ``(start, end)`` frame spans a waveform's layer stack runs on.
 
-    Up to :data:`CHUNK_FRAMES` frames, or with a non-causal time RNN, one
-    span. Otherwise n = ceil(frames / limit) spans of near-equal length,
-    each rounded up to a multiple of the LWR unit (the PPS factor times the
-    largest layer factor), so that every span starts on a multiple of each
-    factor; ``limit`` is the largest multiple of the unit up to
-    CHUNK_FRAMES (at least one unit).
+    Up to :data:`CHUNK_FRAMES` frames, or with a non-causal time RNN (up to
+    :data:`WHOLE_FILE_FRAMES`), one span. Otherwise n = ceil(frames / limit)
+    spans of near-equal length, each rounded up to a multiple of the LWR unit
+    (the PPS factor times the largest layer factor), so that every span
+    starts on a multiple of each factor; ``limit`` is the largest multiple
+    of the unit up to CHUNK_FRAMES (at least one unit).
     """
+    if not config.time_rnn_causal and frames > WHOLE_FILE_FRAMES:
+        seconds = WHOLE_FILE_FRAMES * config.stft.hop_size / config.stft.sample_rate
+        raise ConfigError(
+            f"a non-causal time RNN needs the whole file at once, so a waveform may have at "
+            f"most {WHOLE_FILE_FRAMES} frames (about {seconds:.1f} s); the input has {frames}"
+        )
     if frames <= CHUNK_FRAMES or not config.time_rnn_causal:
         return [(0, frames)]
     pps_factor, rows = config.plan
@@ -424,16 +429,10 @@ def enhance(model: Model, noisy: np.ndarray, oa: OaConfig | None = None) -> np.n
     """
     cfg, w = model.config, model.weights
     noisy = mono_signal(noisy)
-    frames = cfg.stft.num_frames(noisy.size)
-    if not cfg.time_rnn_causal and frames > WHOLE_FILE_FRAMES:
-        seconds = WHOLE_FILE_FRAMES * cfg.stft.hop_size / cfg.stft.sample_rate
-        raise ConfigError(
-            f"a non-causal time RNN needs the whole file at once, so enhance takes at "
-            f"most {WHOLE_FILE_FRAMES} frames (about {seconds:.1f} s); the input has {frames}"
-        )
+    spans = _chunks(cfg, cfg.stft.num_frames(noisy.size))
     out = np.empty(noisy.size, dtype=np.float32)
     state, tail, done = {}, IstftTail(), 0
-    for span in _chunks(cfg, frames):
+    for span in spans:
         spec = stft(noisy, cfg.stft, frames=span)
         feats = forward_features(model, band_split(spec, w.band_split, cfg.bands), state=state)
         mask = estimate_mask(feats, w.mask_head, cfg.bands)

@@ -147,19 +147,8 @@ def resampled_sublayer(features: np.ndarray, core, factor: int) -> np.ndarray:
     and each held frame is added where it lands, so no full-rate copy of it
     is made.
     """
-    held = core(features if factor == 1 else downsample_t(features, factor))
+    held = core(downsample_t(features, factor))
     for phase in range(factor):
         frames = features[..., phase::factor, :]
         frames += held[..., : frames.shape[-2], :]
     return features
-
-
-def pps_wrap(features: np.ndarray, factor: int, stack) -> np.ndarray:
-    """Run a whole layer stack at 1/factor rate, hold back to the input rate.
-
-    No residual: the stack's own sublayers carry their residuals. The stack
-    gets :func:`downsample_t`'s strided view of ``features``, so a stack
-    that adds in place writes into every factor-th frame of ``features``.
-    """
-    target = features.shape[-2]
-    return upsample_t(stack(downsample_t(features, factor)), factor, target)

@@ -235,6 +235,16 @@ class TestErrorsAndUsage:
                      "--seconds", "0"]) == EXIT_CONFIG
         assert "positive" in capsys.readouterr().err
 
+    def test_bench_refuses_seconds_past_the_limit(self, assets, monkeypatch, capsys):
+        for module, name in ((cli.weights_io, "load_weights"), (cli.weights_io, "gen_weights"),
+                             (cli.np.random, "default_rng"), (cli.model, "enhance")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("bench allocated"))
+        for seconds in ("1e7", str(cli.BENCH_SECONDS + 0.5)):
+            assert main(["bench", "--config", str(assets["config"]), "--weights", str(assets["weights"]),
+                         "--seconds", seconds]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: config: --seconds must be at most")
+
     def test_bench_rejects_nonpositive_runs(self, assets, capsys):
         assert main(["bench", "--config", str(assets["config"]), "--runs", "0"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: config: --runs")

@@ -182,6 +182,20 @@ def test_deeply_nested_weights_header(files):
     _assert_contract(code, stderr, {cli.EXIT_WEIGHTS})
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "canonical-v1", "--duration", "1e300"],
+    ["analyze", "--config", "canonical-v1", "--duration", "1e305"],  # the sample count is inf
+    ["table", "--duration", "1e300"],
+    ["analyze", "--config", "huge.json"],
+], ids=" ".join)
+def test_totals_past_int64(files, argv):
+    # each was an internal OverflowError: a MAC total or sample count that a float cannot hold
+    (files / "huge.json").write_text(json.dumps({**CONFIG_DOC, "feature_dim": 10**160,
+                                                 "hidden_dim": 10**160}))
+    argv = [str(files / arg) if arg.endswith(".json") else arg for arg in argv]
+    _assert_contract(*_run(argv), {cli.EXIT_CONFIG})
+
+
 @PROPERTY
 @given(edits=st.lists(st.tuples(st.integers(0, WAV_HEADER - 1), st.integers(0, 255)), max_size=3),
        cut=st.none() | st.integers(0, 900))

@@ -217,11 +217,14 @@ class TestCountInSpans:
             assert got.components == one_pass.components == analyze_frames(cfg, frames)
             assert got.duration == wave.size / cfg.stft.sample_rate
 
-    def test_non_causal_counts_in_one_pass_past_the_enhance_limit(self, monkeypatch):
+    def test_non_causal_refuses_past_the_whole_file_limit(self, monkeypatch):
         monkeypatch.setattr(model_mod, "WHOLE_FILE_FRAMES", 300)
         cfg, model = build_tiny(time_rnn_causal=False)
-        wave = np.random.default_rng(22).standard_normal(512 * cfg.stft.hop_size) * 0.1
-        assert count_forward(model, wave).components == analyze_frames(cfg, 513)
+        wave = np.random.default_rng(22).standard_normal(299 * cfg.stft.hop_size) * 0.1
+        assert count_forward(model, wave).components == analyze_frames(cfg, 300)  # one pass
+        monkeypatch.setattr(macs, "stft", lambda *args, **kwargs: pytest.fail("stft ran"))
+        with pytest.raises(ConfigError, match="^a non-causal time RNN"):
+            count_forward(model, np.zeros(300 * cfg.stft.hop_size))
 
     def test_peak_memory_follows_the_span(self):
         # peak RSS after a 4 s and then a 40 s count (1 and 10 spans): the whole-file

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from bsrnnlite import ConfigError, LwrStrategy
+from bsrnnlite import ConfigError, LwrStrategy, forward_features
 from bsrnnlite import plan_resampling, resample
-from bsrnnlite.resample import downsample_t, pps_wrap, reduced_frames, resampled_sublayer, upsample_t
+from bsrnnlite.resample import downsample_t, reduced_frames, resampled_sublayer, upsample_t
+
+from util import build_tiny
 
 
 class TestStride:
@@ -99,34 +101,37 @@ class TestResampledSublayer:
 
 
 class TestPpsWrap:
+    """PPS: ``forward_features`` wraps its whole layer stack in one down/up pair."""
+
     def test_identity_stack(self):
-        x = np.random.default_rng(4).standard_normal((2, 7, 3))
-        got = pps_wrap(x, 3, lambda z: z)
+        _, model = build_tiny(num_layers=0, resample=LwrStrategy.pps(3))
+        x = np.random.default_rng(4).standard_normal((3, 7, 6))
+        got = forward_features(model, x)
         assert np.array_equal(got, upsample_t(downsample_t(x, 3), 3, 7))
 
     def test_factor_one_passthrough(self):
-        x = np.random.default_rng(5).standard_normal((2, 7, 3))
-        assert np.array_equal(pps_wrap(x, 1, lambda z: z + 1.0), x + 1.0)
+        _, model = build_tiny(num_layers=0, resample=LwrStrategy.pps(1))
+        x = np.random.default_rng(5).standard_normal((3, 7, 6))
+        got = forward_features(model, x)
+        assert got is not x and np.array_equal(got, x)
 
     def test_stack_runs_reduced(self):
-        seen = {}
+        _, model = build_tiny(resample=LwrStrategy.pps(4))
+        seen = []
+        forward_features(model, np.zeros((3, 10, 6)),
+                         probe=lambda stage, layer, array: seen.append(array.shape[1]))
+        assert seen == [3] * 12  # six stages in each of two layers
 
-        def stack(z):
-            seen["t"] = z.shape[1]
-            return z
-
-        pps_wrap(np.zeros((1, 10, 2)), 4, stack)
-        assert seen["t"] == 3
-
-    def test_stack_runs_on_a_view_of_the_input(self):
-        def stack(z):  # adds in place, as the layer stack does
-            z += 1.0
-            return z
-
-        x = np.zeros((1, 7, 2))
-        got = pps_wrap(x, 3, stack)
-        assert x[0, :, 0].tolist() == [1, 0, 0, 1, 0, 0, 1]
-        assert np.array_equal(got, np.ones_like(x))
+    def test_stack_runs_on_a_copy_of_the_kept_frames(self):
+        _, model = build_tiny(resample=LwrStrategy.pps(3))
+        x = np.random.default_rng(6).standard_normal((3, 7, 6))
+        before = x.tobytes()
+        seen = []
+        got = forward_features(model, x, probe=lambda stage, layer, array: seen.append(array))
+        stack = seen[0]  # layer 1's band_in: the array every sublayer adds into
+        assert stack.shape == (3, 3, 6) and stack.flags.owndata
+        assert seen[-1] is stack and x.tobytes() == before
+        assert np.array_equal(got, upsample_t(stack, 3, 7))
 
 
 def _flags(pairs):
