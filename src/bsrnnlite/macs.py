@@ -273,6 +273,11 @@ def reduction_table(base: ModelConfig, variants, duration: float = 1.0) -> Reduc
     return ReductionTable(duration, tuple(rows))
 
 
+#: most (feature_dim, hidden_dim) pairs :func:`calibrate_feature_dims` prices;
+#: its arrays grow with the pairs, to a traced peak of 160 MiB at this limit
+CALIBRATE_CANDIDATES = 2**20
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     feature_dim: int
@@ -299,7 +304,8 @@ def calibrate_feature_dims(
     target_grouped) and returns the ``top`` best as CalibrationResult,
     best first. This is how the canonical dims were frozen. The whole grid
     is priced in one pass of the closed form over int64 arrays, with results
-    identical to :func:`analyze` on each candidate's two configs.
+    identical to :func:`analyze` on each candidate's two configs. A grid of
+    more than :data:`CALIBRATE_CANDIDATES` pairs is refused before it is made.
     """
     if group < 1 or top < 1:
         raise ConfigError(f"group and top must be at least 1, got {group} and {top}")
@@ -312,6 +318,10 @@ def calibrate_feature_dims(
     # the closed form grows with both dims, so the corner bounds every value
     if sum(_closed_form(template, t, dim_max, dim_max, 1).values()) > np.iinfo(np.int64).max:
         raise ConfigError(f"dim_max {dim_max} prices MAC totals beyond int64")
+    count = len(range(dim_min, dim_max + 1, step))
+    if count * count > CALIBRATE_CANDIDATES:
+        raise ConfigError(f"the search grid holds {count} x {count} (dim, dim) pairs, "
+                          f"at most {CALIBRATE_CANDIDATES} allowed")
     dims = np.arange(dim_min, dim_max + 1, step, dtype=np.int64)
     dims = dims[dims % group == 0]
     if not dims.size:

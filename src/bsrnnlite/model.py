@@ -160,7 +160,7 @@ def _layout(config: ModelConfig) -> dict:
     Leaves are ``(name, shape)``. A dict maps the fields of one weights
     record to their leaves; a list holds repeated records (bands, layers,
     groups, directions). :func:`expected_tensors` flattens the tree
-    depth-first and :func:`weights_from_arrays` fills it with arrays.
+    depth-first and :func:`build` fills it with arrays.
     """
     n, h, g = config.feature_dim, config.hidden_dim, config.group_size
     ng, hg = n // g, h // g
@@ -237,8 +237,8 @@ def weight_arrays(node) -> list:
     return [a for f in dataclasses.fields(node) for a in weight_arrays(getattr(node, f.name))]
 
 
-def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
-    """Assemble structured weights from a flat name -> array mapping.
+def build(config: ModelConfig, arrays: Mapping) -> Model:
+    """Assemble a runnable model from a flat name -> array mapping.
 
     Every expected tensor must be present with the expected shape and
     finite values; unknown names are rejected. Each array is copied, so the
@@ -271,35 +271,24 @@ def weights_from_arrays(config: ModelConfig, arrays: Mapping) -> ModelWeights:
         return GroupedLayerWeights(**fields, cells=LstmWeights(**stacked))
 
     t = _map_leaves(_layout(config), take)
-    return ModelWeights(
+    return Model(config, ModelWeights(
         band_split=tuple(BandProjection(**b) for b in t["split"]),
         band_layers=tuple(grouped(l["band"]) for l in t["layers"]),
         time_layers=tuple(grouped(l["time"]) for l in t["layers"]),
         mask_head=tuple(MaskBandHead(**b) for b in t["head"]),
-    )
+    ))
 
 
 @dataclass(frozen=True)
 class Model:
     """Immutable handle pairing a config with weights assembled for it.
 
+    :func:`build` makes it, from a flat mapping checked against the config.
     The forward pass reads its per-layer decisions from ``config.plan``.
     """
 
     config: ModelConfig
     weights: ModelWeights
-
-
-def build(config: ModelConfig, weights) -> Model:
-    """Assemble a runnable model; ``weights`` is a ModelWeights or flat mapping."""
-    if not isinstance(weights, ModelWeights):
-        weights = weights_from_arrays(config, weights)
-    if len(weights.band_layers) != config.num_layers or len(weights.time_layers) != config.num_layers:
-        raise WeightsFormatError(
-            f"weights carry {len(weights.band_layers)}/{len(weights.time_layers)} "
-            f"band/time layers, config wants {config.num_layers}"
-        )
-    return Model(config, weights)
 
 
 def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool, state=None):

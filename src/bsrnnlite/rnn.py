@@ -305,12 +305,12 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
     n, i, h = cells.cell_count, cells.input_dim, cells.hidden_dim
-    if state is not None:
-        if not state:
-            state[:] = [np.zeros((n, b, h)) for _ in "hc"]
-        if [part.shape for part in state] != [(n, b, h)] * 2:
-            raise ConfigError(f"state must hold two [{n} x {b} x {h}] arrays, "
-                              f"got {[part.shape for part in state]}")
+    state = [] if state is None else state
+    if not state:
+        state[:] = [np.zeros((n, b, h)) for _ in "hc"]
+    if [part.shape for part in state] != [(n, b, h)] * 2:
+        raise ConfigError(f"state must hold two [{n} x {b} x {h}] arrays, "
+                          f"got {[part.shape for part in state]}")
     # one upcast per call, into the working order, nothing cached: the loop casts
     # nothing. The recurrent matmul, as few rows as the batch, runs on a row-major
     # copy; the projection's blocks are large and read a transposed one.
@@ -327,9 +327,10 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
 
 def _run_rows(frames, out, weights, block, carry, lo, hi):
     """The projection blocks and time loop for batch rows ``[lo, hi)`` of the
-    frame-major input ``frames`` ``[T x B x groups x i]``, into ``out`` and,
-    when ``carry`` is a state pair, its rows. A block's hidden states collect
-    step-major in ``hs`` and go to ``out`` once per direction."""
+    frame-major input ``frames`` ``[T x B x groups x i]``, from the rows of
+    the state pair ``carry`` into ``out`` and back into ``carry``. A block's
+    hidden states collect step-major in ``hs`` and go to ``out`` once per
+    direction."""
     w_input, w_hidden, bias = weights
     frames, out = frames[:, lo:hi], out[lo:hi]
     t, rows, groups, i = frames.shape
@@ -341,10 +342,7 @@ def _run_rows(frames, out, weights, block, carry, lo, hi):
     gates = np.empty((n, rows, 4 * h))
     g_gate, sigmoids, i_gate, f_gate, o_gate = (gates[..., first * h : last * h] for first, last
                                                  in ((0, 1), (1, 4), (1, 2), (2, 3), (3, 4)))
-    if carry is None:
-        state, c = np.zeros((n, rows, h)), np.zeros((n, rows, h))
-    else:
-        state, c = (np.array(part[:, lo:hi]) for part in carry)
+    state, c = (np.array(part[:, lo:hi]) for part in carry)
     for start in range(0, t, block):
         steps = min(block, t - start)
         # the frames direction d reads in this block; a backward cell reads them last first
@@ -370,8 +368,7 @@ def _run_rows(frames, out, weights, block, carry, lo, hi):
         by_dir = hs[:steps].reshape(steps, groups, dirs, rows, h)
         for d in range(dirs):
             out[:, spans[d], d] = by_dir[:, :, d][:: 1 - 2 * d].transpose(2, 0, 3, 1)
-    if carry is not None:
-        carry[0][:, lo:hi], carry[1][:, lo:hi] = state, c
+    carry[0][:, lo:hi], carry[1][:, lo:hi] = state, c
 
 
 @dataclass(frozen=True)

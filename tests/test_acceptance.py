@@ -214,14 +214,15 @@ def test_c6_degenerate_toggles_match_baseline(canonical_model, two_second_noise)
     base_out = enhance(model, two_second_noise)
     base_norm = float(np.linalg.norm(base_out))
 
+    arrays = gen_weights(cfg, seed=0)  # the fixture model's weights
     worst_rel = 0.0
     for lwr in (LwrStrategy.pps(1), LwrStrategy.all_layers(1),
                 LwrStrategy.sync(1), LwrStrategy.alternating(1)):
-        variant = build(cfg.with_resample(lwr), model.weights)
+        variant = build(cfg.with_resample(lwr), arrays)
         out = enhance(variant, two_second_noise)
         worst_rel = max(worst_rel, float(np.linalg.norm(out - base_out)) / base_norm)
 
-    skip0 = build(cfg.with_prune(SbpStrategy.aggressive(0)), model.weights)
+    skip0 = build(cfg.with_prune(SbpStrategy.aggressive(0)), arrays)
     skip0_bitwise = enhance(skip0, two_second_noise).tobytes() == base_out.tobytes()
 
     # one-group, two-direction stacked kernel against one kernel call per

@@ -150,6 +150,31 @@ class TestEnhance:
         assert sorted(p.name for p in dst.glob("*.wav")) == ["a.wav", "b.wav"]
         assert capsys.readouterr().out.count(": ok") == 2
 
+    def _run(self, assets, src, dst):
+        return main(["enhance", "--config", str(assets["config"]), "--weights", str(assets["weights"]),
+                     "--input", str(src), "--output", str(dst)])
+
+    def test_output_onto_its_own_input_file(self, assets, tmp_path):
+        # read_wav copies the samples, so the file may be overwritten with its own output
+        noisy = tmp_path / "noisy.wav"
+        wavio.write_wav(noisy, np.random.default_rng(8).standard_normal(400).astype(np.float32) * 0.1,
+                        8000, "pcm16")  # 0.05 s
+        assert self._run(assets, noisy, tmp_path / "clean.wav") == EXIT_OK
+        assert self._run(assets, noisy, noisy) == EXIT_OK
+        assert noisy.read_bytes() == (tmp_path / "clean.wav").read_bytes()
+
+    def test_output_onto_its_own_input_directory(self, assets, tmp_path):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        rng = np.random.default_rng(9)
+        for name in ("a.wav", "b.wav"):
+            wavio.write_wav(src / name, rng.standard_normal(400).astype(np.float32) * 0.1, 8000,
+                            "float32")
+        assert self._run(assets, src, dst) == EXIT_OK
+        assert self._run(assets, src, src) == EXIT_OK
+        for name in ("a.wav", "b.wav"):
+            assert (src / name).read_bytes() == (dst / name).read_bytes()
+
     def test_oa_passthrough_at_one(self, assets, tmp_path):
         out_path = tmp_path / "same.wav"
         assert main(["enhance", "--config", str(assets["config"]),
@@ -259,6 +284,7 @@ class TestErrorsAndUsage:
         ["calibrate", "--dim-min", "3", "--dim-max", "3", "--group", "2"],
         ["calibrate", "--target-base", "nan"],
         ["calibrate", "--target-grouped", "inf"],
+        ["calibrate", "--dim-max", "1000000"],
     ], ids=" ".join)
     def test_nonfinite_and_zero_flags_rejected(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -20,6 +20,7 @@ from bsrnnlite import (
     SbpStrategy,
     StftConfig,
     WeightsFormatError,
+    analyze,
     build,
     count_forward,
     enhance,
@@ -32,7 +33,7 @@ from bsrnnlite import (
 from bsrnnlite import model as model_mod
 from bsrnnlite import rnn
 from bsrnnlite.model import CANONICAL_FEATURE_DIM, CANONICAL_HIDDEN_DIM, canonical_config
-from bsrnnlite.model import weight_arrays, weights_from_arrays
+from bsrnnlite.model import weight_arrays
 from bsrnnlite.rnn import LstmWeights, dense, layer_norm, lstm_forward_batch
 from bsrnnlite.weights_io import load_weights, save_weights
 
@@ -122,34 +123,74 @@ class TestWeightsAssembly:
         arrays = gen_weights(cfg)
         del arrays["layer2.time.proj.bias"]
         with pytest.raises(WeightsFormatError, match="layer2.time.proj.bias"):
-            weights_from_arrays(cfg, arrays)
+            build(cfg, arrays)
 
     def test_wrong_shape_named(self):
         cfg = tiny_config()
         arrays = gen_weights(cfg)
         arrays["layer1.band.norm.gamma"] = np.zeros(7, dtype=np.float32)
         with pytest.raises(WeightsFormatError, match="layer1.band.norm.gamma"):
-            weights_from_arrays(cfg, arrays)
+            build(cfg, arrays)
 
     def test_non_finite_value_named(self):
         cfg = tiny_config()
         arrays = gen_weights(cfg)
         arrays["layer2.band.proj.bias"][3] = np.inf
         with pytest.raises(WeightsFormatError, match="layer2.band.proj.bias .*non-finite"):
-            weights_from_arrays(cfg, arrays)
+            build(cfg, arrays)
 
     def test_unexpected_tensor_rejected(self):
         cfg = tiny_config()
         arrays = gen_weights(cfg)
         arrays["layer9.ghost"] = np.zeros(1, dtype=np.float32)
         with pytest.raises(WeightsFormatError, match="layer9.ghost"):
-            weights_from_arrays(cfg, arrays)
+            build(cfg, arrays)
 
-    def test_build_accepts_structured_weights(self):
+    def test_build_refuses_structured_weights(self):
+        # assembled weights carry no tensor names to check against a config (here the
+        # ungrouped ones under a grouped config), so build takes only the flat mapping
         cfg = tiny_config()
-        structured = weights_from_arrays(cfg, gen_weights(cfg))
-        model = build(cfg, structured)
-        assert model.config is cfg
+        weights = build(cfg, gen_weights(cfg)).weights
+        for other in (cfg, cfg.with_groups(2)):
+            with pytest.raises(TypeError):
+                build(other, weights)
+
+    #: ``tiny_config`` with settings changed: up to "two-bands" each shapes the weights,
+    #: the rest are LWR and SBP plans, which do not
+    _SETTINGS = {
+        "group_size=2": dict(group_size=2),
+        "time_rnn_causal=False": dict(time_rnn_causal=False),
+        "band_rnn_bidirectional=False": dict(band_rnn_bidirectional=False),
+        "mask_hidden_ratio=2": dict(mask_hidden_ratio=2),
+        "feature_dim=8": dict(feature_dim=8),
+        "hidden_dim=6": dict(hidden_dim=6),
+        "num_layers=1": dict(num_layers=1),
+        "num_layers=3": dict(num_layers=3),
+        "band-widths": dict(bands=BandConfig(((0, 5), (5, 12), (12, 17)))),
+        "two-bands": dict(bands=BandConfig(((0, 9), (9, 17)))),
+        "pps2": dict(resample=LwrStrategy.pps(2)),
+        "all2": dict(resample=LwrStrategy.all_layers(2)),
+        "sync2": dict(resample=LwrStrategy.sync(2)),
+        "async2": dict(resample=LwrStrategy.alternating(2)),
+        "sbp-a1": dict(prune=SbpStrategy.aggressive(1)),
+        "sbp-p": dict(prune=SbpStrategy.progressive()),
+        "async2+sbp-a": dict(resample=LwrStrategy.alternating(2), prune=SbpStrategy.aggressive()),
+    }
+
+    @pytest.mark.parametrize("setting", _SETTINGS)
+    def test_build_checks_one_mapping_against_each_config(self, setting):
+        # a field that shapes the weights refuses the base mapping, naming a tensor;
+        # a plan (LWR, SBP) runs on it and prices in count_forward as analyze does
+        base = tiny_config()
+        arrays = gen_weights(base, seed=3)
+        fields = self._SETTINGS[setting]
+        cfg = with_fields(base, **fields)
+        if not fields.keys() <= {"resample", "prune"}:
+            with pytest.raises(WeightsFormatError, match=r"tensors?\b.* (band_split|layer\d|mask_head)\."):
+                build(cfg, arrays)
+            return
+        wave = np.random.default_rng(4).standard_normal(400) * 0.1  # 0.05 s
+        assert count_forward(build(cfg, arrays), wave).components == analyze(cfg, 0.05).components
 
 
 #: the five presets and three more plans: pps(4), sync(4), GR 2 + async(16) + aggressive SBP
