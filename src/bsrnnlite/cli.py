@@ -87,10 +87,11 @@ def cmd_analyze(args) -> int:
             print(f"{name},{count}")
         print(f"total,{report.total}")
     else:
+        total = report.total
         print(f"{report.gps:.2f} G/s")
-        print(f"total {report.total} MACs over {report.duration:g} s")
+        print(f"total {total} MACs over {report.duration:g} s")
         for name, count in report.components.items():
-            print(f"  {name:>14} {count:>15} ({100.0 * count / report.total:5.1f}%)")
+            print(f"  {name:>14} {count:>15} ({100.0 * count / total:5.1f}%)")
     return EXIT_OK
 
 

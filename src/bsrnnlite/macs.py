@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# apply_mask, estimate_mask and istft are not called here; they stay bound
-# because perfbench's tracer wraps each of them on this module by name
+# apply_mask, band_split, estimate_mask, forward_features, istft and stft are not
+# called here; they stay bound because perfbench's tracer wraps each of them on
+# this module by name
 from .bands import apply_mask, band_split, estimate_mask  # noqa: F401
 from .dsp import istft, mono_signal, stft  # noqa: F401
 from .errors import ConfigError
-from .model import (Model, ModelConfig, _chunks, canonical_config, forward_features,
-                    preset_config, preset_names)
+from .model import (Model, ModelConfig, _passes, canonical_config,  # noqa: F401
+                    forward_features, preset_config, preset_names)
 from .prune import SbpStrategy
 from .resample import LwrStrategy, reduced_frames
 
@@ -126,16 +127,15 @@ def analyze(config: ModelConfig, duration: float = 1.0) -> MacsReport:
     return MacsReport(comps, duration)
 
 
-def count_forward(model: Model, x: np.ndarray) -> MacsReport:
-    """Run the forward pass and price every multiply-accumulate executed.
+def count_forward(model: Model, noisy: np.ndarray) -> MacsReport:
+    """Run a mono waveform's layer stack and price every multiply-accumulate executed.
 
-    ``x`` is either a mono waveform (the STFT, band split and layer stack
-    run) or a ``[K x T x N]`` feature tensor, in which case the band split
-    is priced for the T frames it would have produced. The mask head and
-    the inverse transform are never run: their cost follows from T alone.
-    A waveform runs in the frame spans ``enhance`` uses, carrying the time
-    RNNs' state, so memory follows a span, not the file; with a non-causal
-    time RNN it is refused past ``model.WHOLE_FILE_FRAMES``, as in ``enhance``.
+    The stack runs as in ``enhance``, through ``model._passes``: in the same
+    frame spans, carrying the time RNNs' state, so memory follows a span, not
+    the file, and a non-causal time RNN is refused past
+    ``model.WHOLE_FILE_FRAMES``. A non-1-D or empty input raises
+    ``AudioFormatError``. The mask head and the inverse transform are never
+    run: their cost follows from the file's T frames alone.
 
     A row costs each weight matrix it runs through once. A sublayer core
     costs rows x the sizes of its cells' ``w_input`` and ``w_hidden`` and its
@@ -144,7 +144,7 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
     dense weights.
     """
     cfg, w = model.config, model.weights
-    x = np.asarray(x)
+    noisy = mono_signal(noisy)
     comps = dict.fromkeys(component_order(cfg), 0)
 
     def probe(stage, layer, array):
@@ -154,22 +154,12 @@ def count_forward(model: Model, x: np.ndarray) -> MacsReport:
             comps[f"{stage[:4]}_rnn[{layer}]"] += rows * (
                 sub.cells.w_input.size + sub.cells.w_hidden.size + sub.proj_weight.size)
 
-    if x.ndim == 1:
-        frames = cfg.stft.num_frames(mono_signal(x).size)
-        state = {}
-        for span in _chunks(cfg, frames):
-            forward_features(model, band_split(stft(x, cfg.stft, frames=span), w.band_split, cfg.bands),
-                             probe=probe, state=state)
-        duration = x.size / cfg.stft.sample_rate
-    elif x.ndim == 3:
-        frames = x.shape[1]
-        forward_features(model, x, probe=probe)
-        duration = frames * cfg.stft.hop_size / cfg.stft.sample_rate
-    else:
-        raise ConfigError(f"input must be a waveform or [K x T x N] features, got shape {x.shape}")
+    for spec, features in _passes(model, noisy, probe):
+        del spec, features  # priced by the probe; free before the next span runs
+    frames = cfg.stft.num_frames(noisy.size)
     comps["band_split"] = frames * sum(b.weight.size for b in w.band_split)
     comps["mask_head"] = frames * sum(h.fc1_weight.size + h.fc2_weight.size for h in w.mask_head)
-    return MacsReport(comps, duration)
+    return MacsReport(comps, noisy.size / cfg.stft.sample_rate)
 
 
 #: Cost targets (G/s on one second of 16 kHz audio) that the canonical

@@ -42,6 +42,9 @@ from .rnn import GroupedLayerWeights, LstmWeights, dense, layer_norm
 CANONICAL_FEATURE_DIM = 126
 CANONICAL_HIDDEN_DIM = 72
 CANONICAL_NUM_LAYERS = 6
+#: most layers a config may have; each adds a row to its plan, and a plan of
+#: 10**7 rows took more than 3.4 GB
+MAX_LAYERS = 1024
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class ModelConfig:
                 f"feature_dim and hidden_dim must be positive, got "
                 f"{self.feature_dim}/{self.hidden_dim}"
             )
-        if self.num_layers < 0:
-            raise ConfigError(f"num_layers must be >= 0, got {self.num_layers}")
+        if not 0 <= self.num_layers <= MAX_LAYERS:
+            raise ConfigError(f"num_layers must be in [0, {MAX_LAYERS}], got {self.num_layers}")
         if self.group_size < 1:
             raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
         if self.feature_dim % self.group_size or self.hidden_dim % self.group_size:
@@ -406,27 +409,41 @@ def _chunks(config: ModelConfig, frames: int) -> list:
     return [(start, min(start + size, frames)) for start in range(0, frames, size)]
 
 
+def _passes(model: Model, noisy: np.ndarray, probe=None):
+    """``(spec, features)`` per frame span of :func:`_chunks`, made lazily: the
+    span's STFT frames and the stack's output on them (``probe`` passed on), each
+    time RNN's state carried to the next span. A refused length raises here."""
+    cfg, w = model.config, model.weights
+    state = {}
+
+    def run(span):
+        spec = stft(noisy, cfg.stft, frames=span)
+        return spec, forward_features(model, band_split(spec, w.band_split, cfg.bands),
+                                      probe=probe, state=state)
+
+    return map(run, _chunks(cfg, cfg.stft.num_frames(noisy.size)))
+
+
 def enhance(model: Model, noisy: np.ndarray, oa: OaConfig | None = None) -> np.ndarray:
     """Enhance a mono waveform; output has exactly the input's length.
 
     With observation adding, the output is the configured convex mix of
     the noisy input and the enhanced signal.
 
-    The file runs as the frame spans of :func:`_chunks`, each from its own
-    STFT frames to its finished output samples, with each time RNN's state
-    and the inverse transform's overlap-add tail carried to the next span.
+    The file runs through :func:`_passes`, span by span, and each span's
+    mask head and inverse transform finish its output samples, with the
+    overlap-add tail carried to the next span. No span's arrays outlive it.
     """
     cfg, w = model.config, model.weights
     noisy = mono_signal(noisy)
-    spans = _chunks(cfg, cfg.stft.num_frames(noisy.size))
+    passes = _passes(model, noisy)  # a refused length raises before the output is made
     out = np.empty(noisy.size, dtype=np.float32)
-    state, tail, done = {}, IstftTail(), 0
-    for span in spans:
-        spec = stft(noisy, cfg.stft, frames=span)
-        feats = forward_features(model, band_split(spec, w.band_split, cfg.bands), state=state)
+    tail, done = IstftTail(), 0
+    for spec, feats in passes:
         mask = estimate_mask(feats, w.mask_head, cfg.bands)
         del feats
         piece = istft(apply_mask(spec, mask), cfg.stft, noisy.size, tail=tail)
+        del spec, mask  # free before the next span's stack runs
         if oa is not None:
             piece = observation_add(noisy[done : done + piece.size], piece, oa)
         out[done : done + piece.size] = piece

@@ -216,23 +216,14 @@ class LstmWeights:
     """The stacked cells of one LSTM sublayer (see the module docstring).
 
     ``w_input`` is ``[C x 4h x i]``, ``w_hidden`` ``[C x 4h x h]``, ``bias``
-    ``[C x 4h]``, with gates stacked (i, f, g, o) within each cell.
+    ``[C x 4h]``, with gates stacked (i, f, g, o) within each cell. The
+    shapes are not checked here: ``model.build`` checks every tensor against
+    the config's layout.
     """
 
     w_input: np.ndarray
     w_hidden: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        c, four_h, h = self.w_hidden.shape if self.w_hidden.ndim == 3 else (0, 0, 0)
-        if c < 1 or h < 1 or four_h != 4 * h:
-            raise ConfigError(f"w_hidden must be [C x 4H x H], got {self.w_hidden.shape}")
-        if self.w_input.ndim != 3 or self.w_input.shape[:2] != (c, 4 * h) or not self.w_input.shape[2]:
-            raise ConfigError(
-                f"w_input must be [C x 4H x I] with C={c}, 4H={4 * h}, got {self.w_input.shape}"
-            )
-        if self.bias.shape != (c, 4 * h):
-            raise ConfigError(f"bias must be [C x 4H]=[{c} x {4 * h}], got {self.bias.shape}")
 
     @property
     def cell_count(self) -> int:
@@ -385,18 +376,3 @@ class GroupedLayerWeights:
     cells: LstmWeights
     proj_weight: np.ndarray
     proj_bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.norm_gamma.ndim != 1 or self.norm_beta.shape != self.norm_gamma.shape:
-            raise ConfigError(
-                f"norm params must be two [I] vectors, got "
-                f"{self.norm_gamma.shape} / {self.norm_beta.shape}"
-            )
-        _cell_layout(self.norm_gamma.shape[0], self.cells)
-        expect = self.cells.cell_count * self.cells.hidden_dim
-        if self.proj_weight.ndim != 2 or self.proj_weight.shape[1] != expect:
-            raise ConfigError(
-                f"projection must be [out x {expect}], got {self.proj_weight.shape}"
-            )
-        if self.proj_bias.shape != (self.proj_weight.shape[0],):
-            raise ConfigError(f"projection bias shape {self.proj_bias.shape} mismatched")

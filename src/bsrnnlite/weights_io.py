@@ -28,12 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import WeightsFormatError
+from .errors import ConfigError, WeightsFormatError
 from .model import ModelConfig, expected_tensors
 
 MAGIC = b"BSRW"
 VERSION = 1
 ALIGNMENT = 64
+#: most parameters :func:`gen_weights` makes; its traced peak is about 4 bytes a
+#: parameter plus 24 bytes an element of the largest tensor, under 1 GiB at this limit
+GEN_PARAMETERS = 2**25
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -61,11 +64,16 @@ def gen_weights(config: ModelConfig, seed: int = 0) -> dict:
 
     One stream, consumed tensor by tensor in canonical order, so any
     change to the architecture changes every later tensor but the same
-    (config, seed) pair always reproduces the same bytes.
+    (config, seed) pair always reproduces the same bytes. A config of more
+    than :data:`GEN_PARAMETERS` parameters is refused before anything is made.
     """
+    shapes = expected_tensors(config)
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if total > GEN_PARAMETERS:
+        raise ConfigError(f"the config has {total} parameters, at most {GEN_PARAMETERS} generated")
     out = {}
     cursor = 0
-    for name, shape in expected_tensors(config).items():
+    for name, shape in shapes.items():
         count = math.prod(shape)
         out[name] = _uniform_block(seed, cursor, count).reshape(shape)
         cursor += count

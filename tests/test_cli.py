@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from bsrnnlite import cli, expected_tensors, model, rnn, save_config, wavio
+from bsrnnlite import canonical_config, cli, expected_tensors, model, rnn, save_config, wavio
+from bsrnnlite.configio import config_to_dict
 from bsrnnlite.cli import (
     EXIT_AUDIO,
     EXIT_CONFIG,
@@ -290,6 +291,29 @@ class TestErrorsAndUsage:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: config:")
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("analyze", "num_layers", 100_000_000),
+        ("gen-weights", "feature_dim", 2_000_000),
+        ("gen-weights", "hidden_dim", 4_000_000),
+        ("bench", "feature_dim", 2_000_000),
+        ("bench", "hidden_dim", 4_000_000),
+    ], ids=str)
+    def test_oversized_configs_refused(self, command, field, value, tmp_path, monkeypatch, capsys):
+        # far past the layer and parameter limits; refused before the plan or a weight is made
+        doc = {**config_to_dict(canonical_config()), field: value}
+        if field == "num_layers":
+            monkeypatch.setattr(model, "plan_resampling", lambda *args: pytest.fail("plan made"))
+        monkeypatch.setattr(cli.weights_io, "_uniform_block", lambda *args: pytest.fail("weights made"))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "big.bsrw"
+        argv = [command, "--config", str(path), *{"analyze": [], "gen-weights": ["--output", str(out)],
+                                                   "bench": ["--seconds", "1"]}[command]]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: config:")
+        assert not out.exists()
 
     def test_unexpected_exception_is_internal(self, monkeypatch, capsys):
         def broken(args):

@@ -1,6 +1,7 @@
 """Closed-form analyzer, the instrumented counter, and the variant table."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from bsrnnlite import (
+    AudioFormatError,
     ConfigError,
     LwrStrategy,
     SbpStrategy,
@@ -26,13 +28,19 @@ from bsrnnlite import (
     preset_names,
     reduction_table,
 )
-from bsrnnlite import bands, dsp, macs
 from bsrnnlite import model as model_mod
 from bsrnnlite.macs import REFERENCE_GPS, analyze_frames, component_order
 
 from util import build_tiny, calibrate_by_analyze, tiny_config
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _wave(cfg, frames, seed):
+    """A waveform of exactly ``frames`` STFT frames of ``cfg`` (tiny: at least 5)."""
+    wave = np.random.default_rng(seed).standard_normal((frames - 1) * cfg.stft.hop_size) * 0.1
+    assert cfg.stft.num_frames(wave.size) == frames
+    return wave
 
 
 class TestClosedForm:
@@ -108,8 +116,7 @@ class TestCounterAgreement:
         cfg, model = build_tiny(group_size=2, feature_dim=6, hidden_dim=4,
                                 resample=LwrStrategy.alternating(3),
                                 prune=SbpStrategy.aggressive(1))
-        feats = np.random.default_rng(0).standard_normal((3, 13, 6))
-        assert count_forward(model, feats).components == analyze_frames(cfg, 13)
+        assert count_forward(model, _wave(cfg, 13, 0)).components == analyze_frames(cfg, 13)
 
     def test_waveform_mode_exact(self):
         cfg, model = build_tiny()
@@ -120,22 +127,23 @@ class TestCounterAgreement:
 
     def test_pps_mode_exact(self):
         cfg, model = build_tiny(resample=LwrStrategy.pps(4))
-        feats = np.random.default_rng(2).standard_normal((3, 11, 6))
-        assert count_forward(model, feats).components == analyze_frames(cfg, 11)
+        assert count_forward(model, _wave(cfg, 11, 2)).components == analyze_frames(cfg, 11)
 
     def test_zero_layers(self):
         cfg, model = build_tiny(num_layers=0)
-        feats = np.random.default_rng(3).standard_normal((3, 4, 6))
-        assert count_forward(model, feats).components == analyze_frames(cfg, 4)
+        # 5 frames: the fewest the tiny STFT makes (a 32-sample window, hop 8)
+        assert count_forward(model, _wave(cfg, 5, 3)).components == analyze_frames(cfg, 5)
 
     def test_zero_frames_rejected(self):
+        # a waveform only, as enhance takes: no empty one, no [K x T x N] features
         _, model = build_tiny()
-        with pytest.raises(ConfigError):
-            count_forward(model, np.zeros((3, 0, 6)))
+        for x in (np.zeros(0), np.zeros((3, 5, 6))):
+            with pytest.raises(AudioFormatError):
+                count_forward(model, x)
 
-    def test_hand_priced_components(self, monkeypatch):
+    def test_hand_priced_components(self):
         # tiny: K=3 bands of widths 6, 6, 5 (2w = 12, 12, 10), N=6, H=4,
-        # mask hidden 24, two layers, T=7 feature frames. A row costs each
+        # mask hidden 24, two layers, T=7 frames. A row costs each
         # weight matrix it passes through once.
         split = 7 * 6 * (12 + 12 + 10)                     # T x sum(N x 2w)
         head = 7 * (3 * 24 * 6 + 24 * (12 + 12 + 10))      # T x sum(24 x N + 2w x 24)
@@ -155,15 +163,9 @@ class TestCounterAgreement:
             ({"prune": SbpStrategy.progressive()},
              [band_g1 * full, time_g1 * 2 * 7, band_g1 * full, time_g1 * 1 * 7]),
         ]
-
-        def no_band_split(*args, **kwargs):
-            raise AssertionError("feature mode must not run band_split")
-
-        monkeypatch.setattr("bsrnnlite.macs.band_split", no_band_split)
-        feats = np.random.default_rng(4).standard_normal((3, 7, 6))
         for overrides, stack in cases:
             cfg, model = build_tiny(**overrides)
-            got = count_forward(model, feats).components
+            got = count_forward(model, _wave(cfg, 7, 4)).components
             assert list(got) == list(component_order(cfg))
             assert list(got.values()) == [split, *stack, head], overrides
             assert got == analyze_frames(cfg, 7)
@@ -174,7 +176,7 @@ class TestCounterAgreement:
             raise AssertionError("count_forward ran a stage whose result it discards")
 
         for name in ("estimate_mask", "apply_mask", "istft"):
-            monkeypatch.setattr(f"bsrnnlite.macs.{name}", refuse)
+            monkeypatch.setattr(model_mod, name, refuse)
         cfg, model = build_tiny()
         report = count_forward(model, np.random.default_rng(5).standard_normal(400) * 0.1)
         assert report.components == analyze_frames(cfg, cfg.stft.num_frames(400))
@@ -200,21 +202,28 @@ class TestCountInSpans:
         cfg = dataclasses.replace(_SPAN_PLANS[plan], feature_dim=8, hidden_dim=8)
         model = build(cfg, gen_weights(cfg, seed=0))
         passes = []
-        real = macs.forward_features
-        monkeypatch.setattr(macs, "forward_features",
-                            lambda net, feats, **kw: (passes.append(feats.shape[1]),
-                                                      real(net, feats, **kw))[1])
+        real = model_mod.forward_features
+
+        def record(net, feats, **kw):
+            out = real(net, feats, **kw)
+            passes.append((feats.shape[1], hashlib.sha256(out.tobytes()).hexdigest()))
+            return out
+
+        monkeypatch.setattr(model_mod, "forward_features", record)
         rng = np.random.default_rng(21)
         for frames in (255, 256, 257, 513):
             wave = rng.standard_normal((frames - 1) * cfg.stft.hop_size).astype(np.float32) * 0.1
             assert cfg.stft.num_frames(wave.size) == frames
-            one_pass = count_forward(
-                model, bands.band_split(dsp.stft(wave, cfg.stft), model.weights.band_split, cfg.bands))
+            passes.clear()
+            model_mod.enhance(model, wave)
+            enhanced = passes[:]
             passes.clear()
             got = count_forward(model, wave)
-            assert passes == [hi - lo for lo, hi in model_mod._chunks(cfg, frames)]
+            # the same spans, each stack output bitwise that of enhance's pass
+            assert passes == enhanced
+            assert [t for t, _ in passes] == [hi - lo for lo, hi in model_mod._chunks(cfg, frames)]
             assert len(passes) == 1 + (frames > 256) + (frames > 512)
-            assert got.components == one_pass.components == analyze_frames(cfg, frames)
+            assert got.components == analyze_frames(cfg, frames)
             assert got.duration == wave.size / cfg.stft.sample_rate
 
     def test_non_causal_refuses_past_the_whole_file_limit(self, monkeypatch):
@@ -222,7 +231,7 @@ class TestCountInSpans:
         cfg, model = build_tiny(time_rnn_causal=False)
         wave = np.random.default_rng(22).standard_normal(299 * cfg.stft.hop_size) * 0.1
         assert count_forward(model, wave).components == analyze_frames(cfg, 300)  # one pass
-        monkeypatch.setattr(macs, "stft", lambda *args, **kwargs: pytest.fail("stft ran"))
+        monkeypatch.setattr(model_mod, "stft", lambda *args, **kwargs: pytest.fail("stft ran"))
         with pytest.raises(ConfigError, match="^a non-causal time RNN"):
             count_forward(model, np.zeros(300 * cfg.stft.hop_size))
 
@@ -318,14 +327,14 @@ class TestCalibration:
 
     def test_count_forward_is_not_the_closed_form(self, monkeypatch):
         cfg, model = build_tiny(group_size=2, resample=LwrStrategy.alternating(2))
-        feats = np.random.default_rng(4).standard_normal((3, 9, 6))
+        wave = _wave(cfg, 9, 4)
         expected = analyze_frames(cfg, 9)
 
         def refuse(*args, **kwargs):
             raise AssertionError("count_forward must not call the closed form")
 
         monkeypatch.setattr("bsrnnlite.macs._closed_form", refuse)
-        assert count_forward(model, feats).components == expected
+        assert count_forward(model, wave).components == expected
 
 
 class TestTable:

@@ -310,7 +310,7 @@ class TestForward:
         assert _stack_peak(name, held=False) <= bound
 
     def test_peak_memory_of_the_stack_on_a_held_input(self):
-        # a caller that keeps its array (a 3-D count_forward call, or any call before
+        # a caller that keeps its array (a direct forward_features call, or any call before
         # CPython 3.11), so one bound on every interpreter: read 2.75 on pps(4), 3.49
         # when every frame was copied
         assert _stack_peak("pps4", held=True) <= 3.0
