@@ -134,8 +134,7 @@ def upsample_t(features: np.ndarray, factor: int, target_frames: int) -> np.ndar
             f"cannot upsample {have} frames to {target_frames} by factor {factor} "
             f"(expected {want} source frames)"
         )
-    held = np.repeat(features, factor, axis=-2)
-    return held[..., :target_frames, :]
+    return np.take(features, np.arange(target_frames) // factor, axis=-2)
 
 
 def resampled_sublayer(features: np.ndarray, core, factor: int) -> np.ndarray:
@@ -148,7 +147,7 @@ def resampled_sublayer(features: np.ndarray, core, factor: int) -> np.ndarray:
     is made.
     """
     held = core(downsample_t(features, factor))
-    for phase in range(factor):
+    for phase in range(min(factor, features.shape[-2])):
         frames = features[..., phase::factor, :]
         frames += held[..., : frames.shape[-2], :]
     return features

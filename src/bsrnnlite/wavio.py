@@ -11,7 +11,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import AudioFormatError
 
@@ -34,6 +33,8 @@ def read_wav(path: str | Path):
     A file that does not parse, including one whose data chunk is shorter
     than its header says, raises AudioFormatError; OSError passes through.
     """
+    from scipy.io import wavfile  # here, so commands that read no wav never load scipy.io
+
     # Memory-mapping makes a short data chunk fail instead of reading short.
     # Warnings about chunks the reader skips are benign and kept off stderr.
     try:
@@ -60,6 +61,8 @@ def read_wav(path: str | Path):
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int, fmt: str = PCM16) -> None:
     """Write a mono float waveform as pcm16 (clipped) or float32."""
+    from scipy.io import wavfile
+
     x = np.asarray(samples)
     if x.ndim != 1:
         raise AudioFormatError(f"mono required, got {x.ndim}-dimensional data")

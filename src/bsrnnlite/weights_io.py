@@ -89,39 +89,33 @@ def _is_count(value) -> bool:
 
 
 def save_weights(path: str | Path, arrays: dict, meta: dict | None = None) -> None:
-    """Write a name -> float32 array mapping in container order."""
-    tensors = {}
-    offset = 0
-    blobs = []
+    """Write a name -> float32 array mapping in container order, tensor by tensor."""
+    tensors, end = {}, 0
     for name, arr in arrays.items():
-        a = np.ascontiguousarray(arr, dtype=np.float32)
-        tensors[name] = {"shape": list(a.shape), "dtype": "f32", "offset": offset}
-        blobs.append(a.tobytes())
-        offset = _align_up(offset + a.nbytes)
+        shape = np.shape(arr) or (1,)  # np.ascontiguousarray makes a scalar one-dimensional
+        tensors[name] = {"shape": list(shape), "dtype": "f32", "offset": _align_up(end)}
+        end = _align_up(end) + 4 * math.prod(shape)
 
     header = json.dumps({"tensors": tensors, "meta": meta or {}}).encode("utf-8")
     payload_base = _align_up(16 + len(header))
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).tobytes())
-        fh.write(np.uint64(len(header)).tobytes())
-        fh.write(header)
-        fh.write(b"\0" * (payload_base - 16 - len(header)))
-        pos = 0
-        for info, blob in zip(tensors.values(), blobs):
-            fh.write(b"\0" * (info["offset"] - pos))
-            fh.write(blob)
-            pos = info["offset"] + len(blob)
+        fh.write(MAGIC + VERSION.to_bytes(4, "little") + len(header).to_bytes(8, "little"))
+        fh.write(header.ljust(payload_base - 16, b"\0"))
+        pad = 0
+        for arr in arrays.values():
+            a = np.ascontiguousarray(arr, dtype=np.float32)
+            fh.write(b"\0" * pad)
+            fh.write(a.data)
+            pad = -a.nbytes % ALIGNMENT
 
 
 def load_weights(path: str | Path):
     """Read a BSRW file back into ``(arrays, meta)``.
 
-    Arrays come back float32 in manifest order. Structural problems
-    (magic, version, malformed entries, dtype, offsets out of range or
-    misaligned) raise
-    WeightsFormatError; whether the tensor *set* matches a config is the
-    model builder's concern.
+    Arrays come back float32 in manifest order, as read-only views of the
+    bytes read. Structural problems (magic, version, malformed entries,
+    dtype, offsets out of range or misaligned) raise WeightsFormatError;
+    whether the tensor *set* matches a config is the model builder's concern.
     """
     try:
         raw = Path(path).read_bytes()
@@ -129,10 +123,10 @@ def load_weights(path: str | Path):
         raise WeightsFormatError(f"{path} is a directory") from exc
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise WeightsFormatError(f"{path} is not a weights file (bad magic)")
-    version = int(np.frombuffer(raw[4:8], dtype=np.uint32)[0])
+    version = int.from_bytes(raw[4:8], "little")
     if version != VERSION:
         raise WeightsFormatError(f"unsupported weights format version {version}")
-    header_len = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+    header_len = int.from_bytes(raw[8:16], "little")
     if 16 + header_len > len(raw):
         raise WeightsFormatError("header length exceeds file size")
     try:
@@ -143,7 +137,7 @@ def load_weights(path: str | Path):
         raise WeightsFormatError("header missing tensor manifest")
 
     payload_base = _align_up(16 + header_len)
-    payload = raw[payload_base:]
+    payload = memoryview(raw)[payload_base:]
     arrays = {}
     for name, info in doc["tensors"].items():
         if not isinstance(info, dict):
@@ -160,7 +154,7 @@ def load_weights(path: str | Path):
         if offset % ALIGNMENT:
             raise WeightsFormatError(f"tensor {name} offset {offset} not {ALIGNMENT}-byte aligned")
         nbytes = math.prod(shape) * 4
-        if offset + nbytes > len(payload):
+        if offset + nbytes > payload.nbytes:
             raise WeightsFormatError(f"tensor {name} extends past end of file")
         arrays[name] = np.frombuffer(payload[offset : offset + nbytes], dtype=np.float32).reshape(shape)
     return arrays, doc.get("meta", {})

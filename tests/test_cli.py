@@ -359,6 +359,14 @@ class TestBenchAndCalibrate:
         assert (label, unit) == ("peak rss", "MiB")
         assert before - 0.05 <= float(mib) <= after + 0.05  # the process's high-water mark
 
+    def test_bench_under_pps_past_the_frame_count(self, tmp_path, capsys):
+        # 0.1 s is 7 frames: the hold must make those 7, not factor * 1 frames
+        path = tmp_path / "pps.json"
+        path.write_text(json.dumps({**config_to_dict(canonical_config()),
+                                    "lwr": {"kind": "pps", "factor": 10**9}}))
+        assert main(["bench", "--config", str(path), "--seconds", "0.1", "--runs", "1"]) == EXIT_OK
+        assert "rtf" in capsys.readouterr().out
+
     def test_bench_peak_without_resource(self, assets, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "resource", None)  # the import then fails, as on Windows
         assert main(["bench", "--config", str(assets["config"]),

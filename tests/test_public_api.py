@@ -36,8 +36,9 @@ def test_every_exported_name_resolves():
 
 
 def test_import_loads_no_scipy_special():
-    # the kernels need numpy only; scipy.special alone took most of the cold import
+    # the kernels need numpy only; scipy.special alone took most of the cold import,
+    # and scipy.io (sparse, matlab) is loaded only by the first wav read or write
     env = dict(os.environ, PYTHONPATH=str(Path(bsrnnlite.__file__).resolve().parent.parent))
-    code = "import sys, bsrnnlite; print('scipy.special' in sys.modules)"
+    code = "import sys, bsrnnlite.cli; print('scipy.special' in sys.modules, 'scipy.io' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

@@ -1,5 +1,7 @@
 """Strided downsampling, hold upsampling, residual wrapping, and planning."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,11 @@ class TestStride:
                 y = upsample_t(downsample_t(x, s), s, t)
                 assert y.shape == x.shape
                 assert np.array_equal(y[:, ::s], x[:, ::s])  # kept frames survive exactly
+
+    def test_upsample_past_the_frame_count_makes_only_the_target(self):
+        # a hold of factor * frames would be 15 TiB here
+        up = upsample_t(np.array([[[1.0, 2.0]]]), 10**12, 7)
+        assert up.shape == (1, 7, 2) and (up == [1.0, 2.0]).all()
 
     def test_upsample_rejects_inconsistent_source(self):
         with pytest.raises(ConfigError, match="expected"):
@@ -88,6 +95,15 @@ class TestResampledSublayer:
 
         resampled_sublayer(x, core, 4)
         assert seen["frames"] == 3
+
+    def test_factor_past_the_frame_count_costs_nothing_extra(self):
+        # only min(factor, T) phases hold frames; visiting all 10**7 takes seconds
+        x = np.random.default_rng(5).standard_normal((1, 3, 2))
+        want = resampled_sublayer(x.copy(), np.sin, 3)
+        start = time.perf_counter()
+        got = resampled_sublayer(x, np.sin, 10**7)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_in_place_adds_into_features(self, factor):

@@ -1,11 +1,13 @@
 """BSRW container format and the seeded generator."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bsrnnlite import WeightsFormatError, build, expected_tensors, gen_weights
+from bsrnnlite import WeightsFormatError, build, canonical_config, expected_tensors, gen_weights
 from bsrnnlite import load_weights, save_weights
 from bsrnnlite.weights_io import ALIGNMENT, MAGIC, VERSION, _splitmix64, _uniform_block
 
@@ -70,12 +72,29 @@ class TestContainer:
         assert list(loaded) == list(arrays)
         assert all(np.array_equal(loaded[k], arrays[k]) for k in arrays)
 
+    def test_round_trip_converts_other_arrays(self, tmp_path):
+        # written as float32 C order; a scalar becomes one element, as np.ascontiguousarray makes it
+        arrays = {"f64": np.arange(15.0).reshape(3, 5).T, "scalar": np.float64(2.5), "list": [[1, 2]]}
+        path = tmp_path / "w.bsrw"
+        save_weights(path, arrays)
+        loaded, _ = load_weights(path)
+        assert {k: v.shape for k, v in loaded.items()} == {"f64": (5, 3), "scalar": (1,), "list": (1, 2)}
+        assert all(np.array_equal(loaded[k], np.float32(arrays[k]).reshape(loaded[k].shape)) for k in arrays)
+
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_config()
         p1, p2 = tmp_path / "a.bsrw", tmp_path / "b.bsrw"
         save_weights(p1, gen_weights(cfg, seed=3), meta={"seed": 3})
         save_weights(p2, gen_weights(cfg, seed=3), meta={"seed": 3})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        # the sha256 the format has always written for this input: a change to the
+        # layout, the padding or the header text shows up here
+        path = tmp_path / "w.bsrw"
+        save_weights(path, gen_weights(tiny_config(), seed=0), meta={"config_name": "tiny", "seed": 0})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d7081e3ec691a184614424bf16d6a893e1ece74164d26cd2000f375e40f7c907")
 
     def test_layout_fields_and_alignment(self, tmp_path):
         path = tmp_path / "w.bsrw"
@@ -159,6 +178,17 @@ class TestContainer:
         with pytest.raises(WeightsFormatError, match=f"tensor w .*{what}"):
             load_weights(path)
 
+    @pytest.mark.parametrize("offset, fits", [(0, True), (64, False)])
+    def test_zero_size_tensor_in_a_file_that_ends_before_the_payload(self, tmp_path, offset, fits):
+        path = tmp_path / "x.bsrw"
+        header = json.dumps({"tensors": {"w": {"shape": [3, 0], "dtype": "f32", "offset": offset}}}).encode()
+        path.write_bytes(MAGIC + np.uint32(1).tobytes() + np.uint64(len(header)).tobytes() + header)
+        if fits:
+            assert load_weights(path)[0]["w"].shape == (3, 0)
+        else:
+            with pytest.raises(WeightsFormatError, match="past end"):
+                load_weights(path)
+
     def test_misaligned_offset_rejected(self, tmp_path):
         path = tmp_path / "x.bsrw"
         header = json.dumps(
@@ -177,3 +207,39 @@ def test_file_to_model_round_trip(tmp_path):
     arrays, _ = load_weights(path)
     model = build(cfg, arrays)
     assert model.config.name == "tiny"
+
+
+def test_loaded_arrays_are_read_only_views_of_the_file(tmp_path):
+    path = tmp_path / "w.bsrw"
+    save_weights(path, gen_weights(tiny_config(), seed=1))
+    arrays, _ = load_weights(path)
+    raw = path.read_bytes()
+    doc = json.loads(raw[16 : 16 + int(np.frombuffer(raw[8:16], np.uint64)[0])])
+    first = next(iter(arrays.values())).__array_interface__["data"][0]
+    for name, a in arrays.items():
+        assert not a.flags.writeable
+        assert a.__array_interface__["data"][0] - first == doc["tensors"][name]["offset"]
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_one_copy_of_the_file(tmp_path):
+    # the tensors are views of the bytes read; a payload copy or per-tensor
+    # slices would take the peak to two or three times the file
+    path = tmp_path / "w.bsrw"
+    save_weights(path, gen_weights(canonical_config(), seed=0))
+    assert _traced_peak(lambda: load_weights(path)) <= 1.1 * path.stat().st_size
+
+
+def test_save_copies_no_float32_input(tmp_path):
+    # each tensor is written from its own buffer; a second in-memory copy of
+    # the model would take the peak to the file's size (11.5 MiB here)
+    arrays = gen_weights(canonical_config(), seed=0)
+    assert _traced_peak(lambda: save_weights(tmp_path / "w.bsrw", arrays)) <= 2**20
