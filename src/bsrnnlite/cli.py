@@ -69,10 +69,10 @@ def cmd_enhance(args) -> int:
         dst.mkdir(parents=True, exist_ok=True)
         for wav in wavs:
             _enhance_one(net, wav, dst / wav.name, oa)
-            print(f"{wav.name}: ok")
+            print(f"{wav.name}: ok", file=sys.stderr)
     else:
         _enhance_one(net, src, dst, oa)
-        print(f"{dst}: ok")
+        print(f"{dst}: ok", file=sys.stderr)
     return EXIT_OK
 
 
@@ -129,7 +129,8 @@ def cmd_gen_weights(args) -> int:
     meta = {"config_name": config.name, "seed": args.seed}
     weights_io.save_weights(args.output, arrays, meta)
     total = sum(a.size for a in arrays.values())
-    print(f"{args.output}: {len(arrays)} tensors, {total} parameters, seed {args.seed}")
+    print(f"{args.output}: {len(arrays)} tensors, {total} parameters, seed {args.seed}",
+          file=sys.stderr)
     return EXIT_OK
 
 

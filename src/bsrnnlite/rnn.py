@@ -16,7 +16,8 @@ bar subnormal sums (see :func:`lstm_forward_batch`).
 
 Threads: :func:`_split` runs the kernel's batch rows, the first axis of a
 3-D :func:`layer_norm` or :func:`dense`, and the mask head's bands in
-shares over the CPUs, with outputs bitwise those of one thread.
+shares over the CPUs, and an unsplit kernel call projects its next block on
+the pool while it steps, with outputs bitwise those of one thread.
 
 Stacked cell layout: all cells of one RNN sublayer, g groups of one or two
 directions, live in one :class:`LstmWeights` whose arrays carry a leading
@@ -122,16 +123,22 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _shares(n: int, most: int) -> int:
+    """How many shares :func:`_split` makes of ``range(n)`` when the caller's floor
+    allows ``most``: at most one per worker, and one inside a share of a split call,
+    as with two workers the pool has one thread, so a nested wait could deadlock."""
+    return 1 if getattr(_LOCAL, "share", False) else min(_WORKERS, most, n)
+
+
 def _split(run, n: int, shares: int) -> None:
-    """Run ``run(lo, hi)`` over contiguous shares of ``range(n)``, at most one per worker.
+    """Run ``run(lo, hi)`` over contiguous shares of ``range(n)`` (:func:`_shares`).
 
     ``shares`` is the most the caller's floor allows. The calling thread runs
     the first share and the pool the rest; each share writes its slice of an
-    output the caller allocated. A split call made inside a share runs inline:
-    with two workers the pool has one thread, so a nested wait could deadlock.
+    output the caller allocated.
     """
-    shares = min(_WORKERS, shares, n)
-    if shares < 2 or getattr(_LOCAL, "share", False):
+    shares = _shares(n, shares)
+    if shares < 2:
         run(0, n)
         return
     from concurrent.futures import wait
@@ -269,8 +276,8 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
 
     ``state``, a list, carries the cells' state from call to call: empty,
     the cells start from zero, as without it; else it holds ``h`` and ``c``,
-    two ``[C x B x h]`` float64 arrays, to start from. The call leaves the
-    state after its last step in it. A sequence cut in two and run as two
+    two ``[C x B x h]`` float64 arrays, to start from. The call updates them
+    in place to the state after its last step. A sequence cut in two and run as two
     calls carrying one list gives the rows of one call over the whole.
 
     The weights keep their stored gate order (i, f, g, o). Each call makes
@@ -292,6 +299,9 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
     are at least :data:`MIN_SPLIT_GATES` wide and a multiple of 8 wide (h
     even). On one BLAS thread such a GEMM gives each row the same sums
     whatever its row count, so the output is bitwise equal to one thread's.
+    A call that stays in one share, made outside any share while a second
+    worker exists, has the pool project each next block while it runs the
+    current block's steps: the same GEMM on another thread, the same bits.
     """
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
@@ -310,44 +320,59 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
                _working_order(cells.bias[:, None], np.empty((n, 1, 4 * h))))
     # [dirs x h x groups] per position is the group-shuffled channel order
     out = np.empty((b, t, dirs, h, groups))
+    block = max(1, PROJECTION_ROWS // max(b, 1))
+    shares = _shares(b, b // MIN_SHARE_ROWS if 4 * h >= MIN_SPLIT_GATES and h % 2 == 0 else 1)
+    # unsplit, with a second thread free and more than one block: project ahead on it
+    ahead = shares < 2 <= _shares(2, 2) and t > block
     run = partial(_run_rows, seqs.reshape(b, t, groups, i).swapaxes(0, 1), out, weights,
-                  max(1, PROJECTION_ROWS // max(b, 1)), state)
-    _split(run, b, b // MIN_SHARE_ROWS if 4 * h >= MIN_SPLIT_GATES and h % 2 == 0 else 1)
+                  block, state, ahead)
+    _split(run, b, shares)
     return out.reshape(b, t, dirs * h * groups)
 
 
-def _run_rows(frames, out, weights, block, carry, lo, hi):
+def _run_rows(frames, out, weights, block, carry, ahead, lo, hi):
     """The projection blocks and time loop for batch rows ``[lo, hi)`` of the
-    frame-major input ``frames`` ``[T x B x groups x i]``, from the rows of
-    the state pair ``carry`` into ``out`` and back into ``carry``. A block's
-    hidden states collect step-major in ``hs`` and go to ``out`` once per
-    direction."""
+    frame-major input ``frames`` ``[T x B x groups x i]``, from the rows of the
+    state pair ``carry``, updated in place, into ``out``. A block's hidden states
+    collect step-major in ``hs`` and go to ``out`` once per direction. With
+    ``ahead``, the pool projects each next block into the other ``gates_x`` slot."""
     w_input, w_hidden, bias = weights
     frames, out = frames[:, lo:hi], out[lo:hi]
     t, rows, groups, i = frames.shape
     n, h, dirs = w_hidden.shape[0], w_hidden.shape[1], out.shape[2]
     size = min(block, t)
     xs = np.empty((groups, dirs, size, rows, i))
-    gates_x = np.empty((n, size, rows, 4 * h))
+    gates_x = np.empty((1 + ahead, n, size, rows, 4, h))
     hs = np.empty((size, n, rows, h))
-    gates = np.empty((n, rows, 4 * h))
-    g_gate, sigmoids, i_gate, f_gate, o_gate = (gates[..., first * h : last * h] for first, last
-                                                 in ((0, 1), (1, 4), (1, 2), (2, 3), (3, 4)))
-    state, c = (np.array(part[:, lo:hi]) for part in carry)
-    for start in range(0, t, block):
+    # a step adds its gates gate-major into ``major``: each later call runs on one block
+    gates, major = np.empty((n, rows, 4, h)), np.empty((4, n, rows, h))
+    flat, into_major = gates.reshape(n, rows, 4 * h), major.transpose(1, 2, 0, 3)
+    g_gate, i_gate, f_gate, o_gate = major
+    sigmoids = major[1:]
+    state, c = (part[:, lo:hi] for part in carry)
+
+    def project(start, slot):
+        # numpy calls only, so that it may run on a pool thread
         steps = min(block, t - start)
         # the frames direction d reads in this block; a backward cell reads them last first
         spans = (slice(start, start + steps), slice(t - start - steps, t - start))
         for d in range(dirs):
             xs[:, d, :steps] = frames[spans[d]][:: 1 - 2 * d].transpose(2, 0, 1, 3)
-        x = xs[:, :, :steps].reshape(n, steps * rows, i)
-        projected = gates_x[:, :steps].reshape(n, steps * rows, 4 * h)
-        np.matmul(x, w_input, out=projected)
+        projected = slot[:, :steps].reshape(n, steps * rows, 4 * h)
+        np.matmul(xs[:, :, :steps].reshape(n, steps * rows, i), w_input, out=projected)
         projected += bias
+        return steps, spans
+
+    following = None
+    for k, start in enumerate(range(0, t, block)):
+        projected = gates_x[k % len(gates_x)]
+        steps, spans = following.result() if following else project(start, projected)
+        following = ahead and start + block < t and _pool().submit(
+            project, start + block, gates_x[(k + 1) % 2])
         for s in range(steps):
-            np.matmul(state, w_hidden, out=gates)
-            gates += gates_x[:, s]
-            np.tanh(gates, out=gates)
+            np.matmul(state, w_hidden, out=flat)
+            np.add(gates, projected[:, s], out=into_major)
+            np.tanh(major, out=major)
             sigmoids *= 0.5
             sigmoids += 0.5
             c *= f_gate
@@ -359,7 +384,7 @@ def _run_rows(frames, out, weights, block, carry, lo, hi):
         by_dir = hs[:steps].reshape(steps, groups, dirs, rows, h)
         for d in range(dirs):
             out[:, spans[d], d] = by_dir[:, :, d][:: 1 - 2 * d].transpose(2, 0, 3, 1)
-    carry[0][:, lo:hi], carry[1][:, lo:hi] = state, c
+    carry[0][:, lo:hi] = state
 
 
 @dataclass(frozen=True)

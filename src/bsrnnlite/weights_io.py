@@ -114,7 +114,8 @@ def load_weights(path: str | Path):
 
     Arrays come back float32 in manifest order, as read-only views of the
     bytes read. Structural problems (magic, version, malformed entries,
-    dtype, offsets out of range or misaligned) raise WeightsFormatError;
+    dtype, offsets out of range or misaligned, bytes past the last tensor)
+    raise WeightsFormatError;
     whether the tensor *set* matches a config is the model builder's concern.
     """
     try:
@@ -138,7 +139,7 @@ def load_weights(path: str | Path):
 
     payload_base = _align_up(16 + header_len)
     payload = memoryview(raw)[payload_base:]
-    arrays = {}
+    arrays, end = {}, 0
     for name, info in doc["tensors"].items():
         if not isinstance(info, dict):
             raise WeightsFormatError(f"tensor {name} entry is not an object")
@@ -157,4 +158,7 @@ def load_weights(path: str | Path):
         if offset + nbytes > payload.nbytes:
             raise WeightsFormatError(f"tensor {name} extends past end of file")
         arrays[name] = np.frombuffer(payload[offset : offset + nbytes], dtype=np.float32).reshape(shape)
+        end = max(end, offset + nbytes)
+    if payload.nbytes > end:
+        raise WeightsFormatError(f"{payload.nbytes - end} bytes past the last tensor")
     return arrays, doc.get("meta", {})

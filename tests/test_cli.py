@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from bsrnnlite import canonical_config, cli, expected_tensors, model, rnn, save_config, wavio
+from bsrnnlite import canonical_config, cli, expected_tensors, load_weights, model, rnn
+from bsrnnlite import save_config, wavio
 from bsrnnlite.configio import config_to_dict
 from bsrnnlite.cli import (
     EXIT_AUDIO,
@@ -122,7 +123,22 @@ class TestGenWeights:
             assert main(["gen-weights", "--config", str(assets["config"]),
                          "--seed", "41", "--output", str(path)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
-        assert "seed 41" in capsys.readouterr().out
+        assert "seed 41" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_weights_to_stdout_through_a_pipe(self, assets, tmp_path):
+        # the status line goes to stderr, so stdout carries the weights bytes alone
+        argv = ["gen-weights", "--config", str(assets["config"]), "--seed", "3", "--output"]
+        done = subprocess.run([sys.executable, "-m", "bsrnnlite.cli", *argv, "/dev/stdout"],
+                              capture_output=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  filter(None, [SRC, os.environ.get("PYTHONPATH")]))})
+        piped, direct = tmp_path / "piped.bsrw", tmp_path / "direct.bsrw"
+        piped.write_bytes(done.stdout)
+        assert main([*argv, str(direct)]) == EXIT_OK
+        assert piped.read_bytes() == direct.read_bytes()
+        assert list(load_weights(piped)[0]) == list(expected_tensors(tiny_config()))
+        assert done.stderr.decode().startswith("/dev/stdout: ")
 
 
 class TestEnhance:
@@ -132,7 +148,7 @@ class TestEnhance:
                      "--weights", str(assets["weights"]),
                      "--input", str(assets["wav"]), "--output", str(out_path)])
         assert code == EXIT_OK
-        assert "ok" in capsys.readouterr().out
+        assert "ok" in capsys.readouterr().err
         noisy, rate, _ = wavio.read_wav(assets["wav"])
         clean, out_rate, _ = wavio.read_wav(out_path)
         assert out_rate == rate and clean.shape == noisy.shape
@@ -149,7 +165,7 @@ class TestEnhance:
                      "--weights", str(assets["weights"]),
                      "--input", str(src), "--output", str(dst)]) == EXIT_OK
         assert sorted(p.name for p in dst.glob("*.wav")) == ["a.wav", "b.wav"]
-        assert capsys.readouterr().out.count(": ok") == 2
+        assert capsys.readouterr().err.count(": ok") == 2
 
     def _run(self, assets, src, dst):
         return main(["enhance", "--config", str(assets["config"]), "--weights", str(assets["weights"]),
@@ -235,6 +251,17 @@ class TestEnhance:
                      "--input", str(assets["wav"]), "--output", str(tmp_path / "o.wav")])
         assert code == EXIT_WEIGHTS
         assert "error: weights:" in capsys.readouterr().err
+
+    def test_weights_file_with_a_byte_appended(self, assets, tmp_path, capsys):
+        path = tmp_path / "w.bsrw"
+        assert main(["gen-weights", "--config", "canonical-v1", "--output", str(path)]) == EXIT_OK
+        path.write_bytes(path.read_bytes() + b"\0")
+        capsys.readouterr()
+        code = main(["enhance", "--config", "canonical-v1", "--weights", str(path),
+                     "--input", str(assets["wav"]), "--output", str(tmp_path / "o.wav")])
+        assert code == EXIT_WEIGHTS
+        assert capsys.readouterr().err.splitlines() == [
+            "error: weights: 1 bytes past the last tensor"]
 
     def test_missing_input_file(self, assets, tmp_path, capsys):
         code = main(["enhance", "--config", str(assets["config"]),

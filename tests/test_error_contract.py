@@ -2,9 +2,10 @@
 
 A valid config document, weights file and wav file are mutated and fed to
 the command line. Whatever the mutation, the exit code is one the CLI
-documents for that input, and stderr is either empty (exit 0) or exactly
-one ``error: <category>: <message>`` line whose category matches the
-code. Every warning counts as shown on stderr, so a warning breaks the
+documents for that input, and stderr is either empty (exit 0, bar the
+status line of an ``enhance``, which goes to stderr) or exactly one
+``error: <category>: <message>`` line whose category matches the code.
+Every warning counts as shown on stderr, so a warning breaks the
 one-line rule.
 """
 
@@ -114,9 +115,15 @@ def files(tmp_path_factory):
 
 
 def _enhance(root, weights="weights.bsrw", wav="noisy.wav"):
-    return _run(["enhance", "--config", str(root / "config.json"),
-                 "--weights", str(root / weights), "--in", str(root / wav),
-                 "--out", str(root / "out.wav")])
+    """``_run`` of one ``enhance``, less the status line that a success prints on stderr."""
+    code, stderr = _run(["enhance", "--config", str(root / "config.json"),
+                         "--weights", str(root / weights), "--in", str(root / wav),
+                         "--out", str(root / "out.wav")])
+    if code == cli.EXIT_OK:
+        status = f"{root / 'out.wav'}: ok\n"
+        assert stderr.startswith(status), stderr
+        stderr = stderr[len(status):]
+    return code, stderr
 
 
 def test_valid_inputs_enhance(files):
@@ -161,16 +168,18 @@ def _poisoned(raw: bytes, name: str, value: float) -> bytes:
 @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
        cut=st.none() | st.integers(0, 400),
        poison=st.none() | st.tuples(st.sampled_from(sorted(WEIGHTS)),
-                                    st.sampled_from([np.nan, np.inf, -np.inf])))
-@example(edits=[], cut=None, poison=("band_split.band00.norm.gamma", np.nan))
-def test_mutated_weights_file(files, edits, cut, poison):
+                                    st.sampled_from([np.nan, np.inf, -np.inf])),
+       appended=st.binary(max_size=65))
+@example(edits=[], cut=None, poison=("band_split.band00.norm.gamma", np.nan), appended=b"")
+@example(edits=[], cut=None, poison=None, appended=b"\0")  # loaded without a word
+def test_mutated_weights_file(files, edits, cut, poison, appended):
     raw = (files / "weights.bsrw").read_bytes()
     if poison is not None:
         raw = _poisoned(raw, *poison)
-    (files / "mutated.bsrw").write_bytes(_edited(raw, edits, cut))
+    (files / "mutated.bsrw").write_bytes(_edited(raw, edits, cut) + appended)
     code, stderr = _enhance(files, weights="mutated.bsrw")
     _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_WEIGHTS})
-    if poison is not None:
+    if poison is not None or appended and cut is None:
         assert code == cli.EXIT_WEIGHTS
 
 

@@ -301,17 +301,17 @@ class TestForward:
                                             ("pps4", 2.0)])
     def test_peak_memory_of_the_stack(self, name, bound):
         # the input passed as a temporary, as enhance passes the band split's output.
-        # Read on two CPUs, BLAS pinned and unpinned: 4.32-4.36 (canonical-v1), 4.24-4.27
-        # (-full) and 1.75 (pps(4), 2.50 when every frame was copied). Before CPython 3.11
-        # the caller holds its arguments until the call returns, so the temporary lives
-        # through the pass: one input more (5.32-5.36, 5.24-5.27 and 2.75)
+        # Read on two CPUs, BLAS pinned and unpinned: 4.50-4.51 (canonical-v1), 4.42-4.43
+        # (-full) and 1.77-1.78 (pps(4), 2.50 when every frame was copied). Before CPython
+        # 3.11 the caller holds its arguments until the call returns, so the temporary lives
+        # through the pass: one input more (5.50-5.51, 5.42-5.43 and 2.77-2.78)
         if sys.version_info < (3, 11):
             bound += 1.0
         assert _stack_peak(name, held=False) <= bound
 
     def test_peak_memory_of_the_stack_on_a_held_input(self):
         # a caller that keeps its array (a direct forward_features call, or any call before
-        # CPython 3.11), so one bound on every interpreter: read 2.75 on pps(4), 3.49
+        # CPython 3.11), so one bound on every interpreter: read 2.77-2.78 on pps(4), 3.49
         # when every frame was copied
         assert _stack_peak("pps4", held=True) <= 3.0
 
@@ -640,6 +640,29 @@ class TestThreadSplit:
                          repr(count_forward(model, waves[1]))))
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert {24, 25, 32, 33, 48, 49} <= set(rows)
+
+    def test_two_threads_enhance_at_once(self):
+        # a subprocess, so the BLAS starts pinned to one thread. Two callers share the
+        # pool's one thread: each time RNN projects ahead on it while band-RNN shares queue
+        # there too, and neither may wait on the other or change a byte
+        script = textwrap.dedent("""
+            from concurrent.futures import ThreadPoolExecutor
+            import numpy as np
+            from bsrnnlite import build, enhance, gen_weights, preset_config, rnn
+            rnn._WORKERS = 2
+            cfg = preset_config("canonical-v1")
+            net = build(cfg, gen_weights(cfg, 0))
+            rng = np.random.default_rng(0)
+            waves = [(rng.standard_normal(int(s * 16000)) * 0.1).astype(np.float32)
+                     for s in (4.7, 5.3)]
+            want = [enhance(net, wave).tobytes() for wave in waves]
+            with ThreadPoolExecutor(2) as callers:
+                got = list(callers.map(lambda wave: enhance(net, wave).tobytes(), waves))
+            print(got == want)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], env=_pinned_env(),
+                              capture_output=True, text=True, timeout=300, check=True)
+        assert done.stdout.split() == ["True"]
 
     def test_forked_child_runs_a_split(self, force_workers):
         _, model = build_tiny(hidden_dim=8)  # gates 32 wide: the band RNN splits

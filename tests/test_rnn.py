@@ -394,6 +394,47 @@ class TestRowSplit:
         # h = 8, 10, 12, 14, 18, 36 and 72 split at every i, layout, batch and worker count
         assert (split, bad) == (7 * 3 * 4 * 4 * 2, 0)
 
+    def test_unsplit_calls_project_ahead_bitwise_on_one_blas_thread(self):
+        # a subprocess, so the BLAS starts pinned to one thread whatever this process runs.
+        # Each call runs unsplit over several projection blocks, so at 2 and 3 workers the
+        # pool projects every next block; the output and the carried (h, c) must not move.
+        script = textwrap.dedent("""
+            import numpy as np
+            from bsrnnlite import rnn
+            from bsrnnlite.rnn import LstmWeights, lstm_forward_batch
+            rng = np.random.default_rng(3)
+            submits, real = [], rnn._pool
+            rnn._pool = lambda: (submits.append(rnn._WORKERS), real())[1]
+            bad = 0
+            # (rows, steps, cut, groups, dirs, h, i): a canonical time RNN over 256 steps,
+            # cut so that both calls end on a short block; 24-47 bidirectional rows; two
+            # GR cells of h 36; an odd h, which never splits, on 60 rows
+            for b, t, cut, g, d, h, i in ((23, 256, 100, 1, 1, 72, 126),
+                                          (24, 60, 31, 1, 2, 72, 126),
+                                          (35, 60, 29, 1, 2, 72, 126),
+                                          (47, 60, 30, 1, 2, 72, 126),
+                                          (23, 90, 45, 2, 1, 36, 63),
+                                          (60, 40, 17, 1, 2, 21, 9)):
+                cells = LstmWeights(*(rng.uniform(-1, 1, (g * d, 4 * h) + tail).astype(np.float32)
+                                      for tail in ((i,), (h,), ())))
+                seqs = rng.standard_normal((b, t, g * i))
+                runs = []
+                for workers in (1, 2, 3):
+                    rnn._WORKERS = workers
+                    state = []
+                    out = [lstm_forward_batch(seqs[:, :cut], cells, state=state),
+                           lstm_forward_batch(seqs[:, cut:], cells, state=state)]
+                    runs.append(b"".join(part.tobytes() for part in out + state))
+                bad += runs[1] != runs[0] or runs[2] != runs[0]
+            print(bad, sorted(set(submits)))
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        assert done.stdout.split() == ["0", "[2,", "3]"]
+
     def test_concurrent_callers_share_one_pool(self, force_workers, monkeypatch):
         made = []
 
