@@ -204,8 +204,17 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line the parser refuses, reported by ``main`` as one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print its usage block and exit 2
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bsrnnlite",
         description="Band-split RNN speech enhancement: inference and MACs accounting.",
     )
@@ -268,15 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, which collides with the audio
-        # category; remap while preserving --help's clean exit.
-        return EXIT_USAGE if exc.code == 2 else (exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # only --help exits, after printing its synopsis
+        return exc.code
+    except _UsageError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except AudioFormatError as exc:
         print(f"error: audio: {exc}", file=sys.stderr)
         return EXIT_AUDIO

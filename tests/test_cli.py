@@ -28,6 +28,13 @@ from util import tiny_config
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _usage_line(capsys) -> str:
+    """The stderr of the last call, checked to be one ``error: usage:`` line."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: usage: "), err
+    return err
+
+
 @pytest.fixture(scope="module")
 def assets(tmp_path_factory):
     """A tiny config file, matching weights, and a short noisy wav."""
@@ -108,7 +115,7 @@ class TestTable:
         (tmp_path / "variants").mkdir()
         assert main(["table", "--variants", str(tmp_path / "variants"),
                      "--extended"]) == EXIT_USAGE
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "not allowed with argument" in _usage_line(capsys)
 
     def test_empty_variant_directory(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -352,12 +359,15 @@ class TestErrorsAndUsage:
 
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE
+        _usage_line(capsys)
 
     def test_unknown_flag(self, capsys):
         assert main(["analyze", "--config", "canonical-v1", "--fast"]) == EXIT_USAGE
+        _usage_line(capsys)
 
     def test_missing_required_flag(self, capsys):
         assert main(["gen-weights", "--seed", "3"]) == EXIT_USAGE
+        _usage_line(capsys)
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK

@@ -1,9 +1,10 @@
 """Property tests: malformed inputs end as one documented diagnostic.
 
 A valid config document, weights file and wav file are mutated and fed to
-the command line. Whatever the mutation, the exit code is one the CLI
-documents for that input, and stderr is either empty (exit 0, bar the
-status line of an ``enhance``, which goes to stderr) or exactly one
+the command line, and so are the flags of every subcommand. Whatever the
+mutation, the exit code is one the CLI documents for that input, and stderr
+is either empty (exit 0, bar the status line of an ``enhance`` or a
+``gen-weights``, which goes to stderr) or exactly one
 ``error: <category>: <message>`` line whose category matches the code.
 Every warning counts as shown on stderr, so a warning breaks the
 one-line rule.
@@ -12,7 +13,11 @@ one-line rule.
 import contextlib
 import io
 import json
+import os
+import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,8 @@ from bsrnnlite.weights_io import ALIGNMENT
 
 from util import tiny_config
 
-CATEGORY = {cli.EXIT_AUDIO: "audio", cli.EXIT_WEIGHTS: "weights", cli.EXIT_CONFIG: "config"}
+CATEGORY = {cli.EXIT_AUDIO: "audio", cli.EXIT_WEIGHTS: "weights", cli.EXIT_CONFIG: "config",
+            cli.EXIT_IO: "io", cli.EXIT_USAGE: "usage"}
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -220,3 +226,77 @@ def test_mutated_wav_file(files, edits, cut):
     _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_AUDIO})
     if not edits and cut is not None and cut < len(raw):
         assert code == cli.EXIT_AUDIO
+
+
+ODD = ("nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e300", "-1", "abc", "")
+PATHS = ("missing", "dir", "empty", "notes.txt", "config.json", "weights.bsrw", "noisy.wav")
+SWITCH = None
+#: each subcommand's flags: a switch, or a valid value and the values a flag draws beside it.
+#: Accepted work stays tiny: ``bench`` runs at most 2 x 0.05 s, and ``calibrate`` a grid no
+#: larger than its default (a dim_min below 8 or a step below 2 is refused or never drawn).
+FLAGS = {
+    "enhance": {"--config": ("config.json", PATHS), "--weights": ("weights.bsrw", PATHS),
+                "--in": ("noisy.wav", PATHS), "--out": ("out.wav", PATHS),
+                "--oa": ("0.5", (*ODD, "1", "2"))},
+    "analyze": {"--config": ("config.json", PATHS), "--duration": ("1.0", (*ODD, "1", "2", "3")),
+                "--json": SWITCH, "--csv": SWITCH},
+    "table": {"--base": ("config.json", PATHS), "--variants": ("dir", PATHS),
+              "--extended": SWITCH, "--duration": ("1.0", (*ODD, "1", "2", "3")),
+              "--json": SWITCH, "--csv": SWITCH},
+    "gen-weights": {"--config": ("config.json", PATHS), "--seed": ("0", (*ODD, "1", "2", "3")),
+                    "--output": ("out.bsrw", PATHS)},
+    "bench": {"--config": ("config.json", PATHS), "--weights": ("weights.bsrw", PATHS),
+              "--seconds": ("0.05", ODD), "--runs": ("1", (*ODD, "2"))},
+    "calibrate": {"--target-base": ("1.84", (*ODD, "1", "2", "3")),
+                  "--target-grouped": ("1.09", (*ODD, "1", "2", "3")),
+                  "--group": ("2", (*ODD, "1", "3")), "--dim-min": ("8", (*ODD, "9", "10")),
+                  "--dim-max": ("240", (*ODD, "1", "2", "3")), "--step": ("2", (*ODD, "3")),
+                  "--top": ("5", (*ODD, "1", "2", "3"))},
+}
+KEPT = {"--seconds", "--runs"}  # bench's defaults, 3 x 10 s, are not tiny
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand and a subset of its flags, each value as ``--flag=value`` or ``--flag value``."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag, values in FLAGS[command].items():
+        kept = command == "bench" and flag in KEPT
+        if not (kept or draw(st.integers(0, 3))):  # a flag is left out one time in four
+            continue
+        if values is SWITCH:
+            argv.append(flag)
+        else:
+            valid, pool = values
+            value = draw(st.just(valid) | st.sampled_from(pool))
+            argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+    return argv
+
+
+@settings(PROPERTY, max_examples=200)
+@given(argv=_command_lines())
+@example(argv=["analyze"])  # argparse printed its usage block: three lines
+@example(argv=["bench", "--config", "config.json", "--seconds", "0.05", "--runs", "1.5"])
+@example(argv=["bench", "--config", "config.json", "--seconds=0.05", "--runs=2"])
+@example(argv=["calibrate", "--dim-min", "nan"])
+@example(argv=["table", "--variants", "dir", "--extended"])
+@example(argv=["analyze", "--config", "config.json", "--duration", "-1e3"])  # read as an option
+def test_flags(files, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("config.json", "weights.bsrw", "noisy.wav"):
+            shutil.copy(files / name, root)
+        (root / "dir").mkdir()
+        (root / "empty").touch()
+        (root / "notes.txt").write_text("not a wav file\n")
+        cwd = os.getcwd()
+        os.chdir(root)  # the drawn paths are relative
+        try:
+            code, stderr = _run(argv)
+        finally:
+            os.chdir(cwd)
+    if code == cli.EXIT_OK and argv[0] in ("enhance", "gen-weights"):
+        status, _, stderr = stderr.partition("\n")
+        assert status.startswith(f"{cli.build_parser().parse_args(argv).output}: "), status
+    _assert_contract(code, stderr, set(CATEGORY) | {cli.EXIT_OK})
