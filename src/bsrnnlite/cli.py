@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -57,13 +58,27 @@ def _enhance_one(net, src: Path, dst: Path, oa: OaConfig | None) -> None:
     wavio.write_wav(dst, out, rate, fmt)
 
 
+def _refuse_clobber(targets, args) -> None:
+    """Refuse (exit 5), before anything is loaded, an output target that is the
+    same file as the command's ``--weights`` or config file (a preset is none)."""
+    config = None if args.config in preset_names() else args.config
+    for flag, source in (("weights", getattr(args, "weights", None)), ("config", config)):
+        for target in targets:
+            try:
+                same = os.path.samefile(target, source or "")
+            except (OSError, ValueError):  # missing, or no such input
+                same = False
+            if same:
+                raise OSError(f"--output {target} is the --{flag} file; it is never overwritten")
+
+
 def cmd_enhance(args) -> int:
+    src, dst = Path(args.input), Path(args.output)
+    wavs = sorted(src.glob("*.wav")) if src.is_dir() else None
+    _refuse_clobber([dst] if wavs is None else [dst / wav.name for wav in wavs], args)
     net = _load_model(args.config, args.weights)
     oa = None if args.oa is None else OaConfig(args.oa)
-    src = Path(args.input)
-    dst = Path(args.output)
-    if src.is_dir():
-        wavs = sorted(src.glob("*.wav"))
+    if wavs is not None:
         if not wavs:
             raise AudioFormatError(f"no wav files in {src}")
         dst.mkdir(parents=True, exist_ok=True)
@@ -124,6 +139,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_gen_weights(args) -> int:
+    _refuse_clobber([args.output], args)
     config = configio.load_config(args.config)
     arrays = weights_io.gen_weights(config, args.seed)
     meta = {"config_name": config.name, "seed": args.seed}

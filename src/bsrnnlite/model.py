@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -34,8 +35,8 @@ from .bands import (
 )
 from .dsp import IstftTail, OaConfig, StftConfig, istft, mono_signal, observation_add, stft
 from .errors import ConfigError, WeightsFormatError
-from .prune import SbpStrategy, apply_pruned_time_rnn, prune_schedule
-from .resample import LwrStrategy, downsample_t, plan_resampling, resampled_sublayer, upsample_t
+from .prune import SbpStrategy, prune_schedule
+from .resample import LwrStrategy, add_held, downsample_t, plan_resampling, upsample_t
 from .rnn import GroupedLayerWeights, LstmWeights, dense, layer_norm
 
 #: calibrated reference dims (see macs.calibrate_feature_dims)
@@ -294,21 +295,36 @@ class Model:
     weights: ModelWeights
 
 
-def _sublayer_core(x, w: GroupedLayerWeights, across_bands: bool, state=None):
-    """Sublayer core on [K' x T' x N]: norm -> grouped RNN -> dense.
+def resampled_sublayer(x, w: GroupedLayerWeights, factor: int, across_bands: bool, seen,
+                       state=None):
+    """Residual sublayer on ``[K' x T x N]``, its core at 1/factor frame rate.
 
-    The band RNN runs its sequences across K, batched over T'; the time
-    RNN runs them across T', batched over K', from ``state`` when given
-    (see :func:`rnn.lstm_forward_batch`). The kernel is looked up on its
-    module so a wrapper installed there sees every call.
+    ``seen`` gets the core's input, ``downsample_t(x, factor)``. The core is
+    norm -> grouped RNN (across K for the band RNN; across T', from ``state``,
+    for the time RNN) -> dense; its output is held and added into ``x``, which
+    is returned. The name, parameters 1 and 3 and the keyword ``factor`` are
+    held for ``perfbench/tracing.py`` until ROADMAP item 2.
     """
-    xn = layer_norm(x, w.norm_gamma, w.norm_beta)
+    core = downsample_t(x, factor)
+    seen(core)
+    xn = layer_norm(core, w.norm_gamma, w.norm_beta)
     if across_bands:
         xn = xn.transpose(1, 0, 2)
-    hidden = rnn.lstm_forward_batch(xn, w.cells, state=state)
+    hidden = rnn.lstm_forward_batch(xn, w.cells, state=state)  # a wrapper on rnn sees it
     del xn  # free before the projection allocates its output
-    out = dense(hidden, w.proj_weight, w.proj_bias)
-    return out.transpose(1, 0, 2) if across_bands else out
+    held = dense(hidden, w.proj_weight, w.proj_bias)
+    del hidden  # free before the hold adds into x
+    return add_held(x, held.transpose(1, 0, 2) if across_bands else held, factor)
+
+
+def apply_pruned_time_rnn(x, w: GroupedLayerWeights, skip_count: int, factor: int, seen, state):
+    """The time-RNN sublayer on all but the top ``skip_count`` bands of ``x``,
+    which stay bitwise unchanged; ``x`` is returned. The name, parameters 1
+    and 3 and the keyword ``skip_count`` are held for ``perfbench/tracing.py``
+    until ROADMAP item 2.
+    """
+    resampled_sublayer(x[: len(x) - skip_count], w, factor, False, seen, state)
+    return x
 
 
 def forward_features(model: Model, features: np.ndarray, *, probe=None, state=None) -> np.ndarray:
@@ -345,7 +361,6 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     def emit(stage, layer, array):
         if probe is not None:
             probe(stage, layer, array)
-        return array
 
     pps_factor, rows = cfg.plan
     w = model.weights
@@ -354,22 +369,12 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     del features  # older CPythons hold a call's arguments until it returns
     layers = zip(rows, w.band_layers, w.time_layers, strict=True)
     for layer, ((band_factor, time_factor, skip), bw, tw) in enumerate(layers, start=1):
-        carry = state.setdefault(layer, [])
         emit("band_in", layer, x)
-        x = resampled_sublayer(
-            x, lambda z: _sublayer_core(emit("band_core", layer, z), bw, True), band_factor
-        )
+        x = resampled_sublayer(x, bw, band_factor, True, partial(emit, "band_core", layer))
         emit("band_out", layer, x)
         emit("time_in", layer, x)
-        x = apply_pruned_time_rnn(
-            x,
-            lambda z: resampled_sublayer(
-                z,
-                lambda q: _sublayer_core(emit("time_core", layer, q), tw, False, carry),
-                time_factor,
-            ),
-            skip,
-        )
+        x = apply_pruned_time_rnn(x, tw, skip, time_factor, partial(emit, "time_core", layer),
+                                  state.setdefault(layer, []))
         emit("time_out", layer, x)
     return x if pps_factor == 1 else upsample_t(x, pps_factor, shape[1])
 

@@ -10,13 +10,14 @@ Schedules (1-based layer index l, K bands):
     none          skip 0 everywhere.
     aggressive    skip a constant L bands (default L = num_layers).
     progressive   skip l bands at layer l.
+
+This module holds the strategy and :func:`prune_schedule`, the one place a
+skip count is validated; ``model.apply_pruned_time_rnn`` runs the bypass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -78,20 +79,3 @@ def prune_schedule(strategy: SbpStrategy, num_layers: int, num_bands: int) -> tu
             f"progressive pruning needs more than {num_layers} bands, got {num_bands}"
         )
     return tuple(range(1, num_layers + 1))
-
-
-def apply_pruned_time_rnn(features: np.ndarray, sublayer, skip_count: int) -> np.ndarray:
-    """Run ``sublayer`` on the lowest bands, pass the top ``skip_count`` through.
-
-    ``features`` is ``[K x T x N]``; ``sublayer`` maps ``[K' x T x N]`` to the
-    same shape (residual included). The result is stored in ``features``,
-    which is returned: the skipped bands stay where they are, bitwise
-    unchanged, and a sublayer that updates its view of the active bands in
-    place leaves nothing to copy.
-    """
-    k = features.shape[0]
-    if not 0 <= skip_count <= k - 1:
-        raise ConfigError(f"skip_count must be in [0, {k - 1}], got {skip_count}")
-    active = k - skip_count
-    features[:active] = sublayer(features[:active])  # a no-op when the sublayer wrote into this view
-    return features

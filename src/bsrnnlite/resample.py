@@ -2,9 +2,9 @@
 
 Downsampling keeps every S-th frame (0, S, 2S, ...); upsampling is
 zero-order hold (frame t copies source frame t // S), truncated to the
-target length. Neither costs any multiply-accumulates. A resampled
-sublayer computes its core at the reduced rate and adds the held result
-back to the full-rate residual.
+target length. Neither costs any multiply-accumulates. :func:`add_held`
+adds a core output computed at the reduced rate back into the full-rate
+residual under that hold; ``model.resampled_sublayer`` runs the core.
 
 Strategies:
     none        every sublayer at full rate.
@@ -17,6 +17,7 @@ Strategies:
 
 :func:`plan_resampling` turns a strategy into one rate divisor per
 sublayer core (1 = full rate); ``ModelConfig.plan`` holds the result.
+Everything here works on plain arrays and takes no callable.
 """
 
 from __future__ import annotations
@@ -137,16 +138,11 @@ def upsample_t(features: np.ndarray, factor: int, target_frames: int) -> np.ndar
     return np.take(features, np.arange(target_frames) // factor, axis=-2)
 
 
-def resampled_sublayer(features: np.ndarray, core, factor: int) -> np.ndarray:
-    """Residual block with the core computed at 1/factor frame rate.
-
-    ``core`` maps ``[... x T' x N]`` to the same shape. With factor 1 this
-    is a plain residual block with no hold. The held core output is added
-    into ``features``, which is returned. The core's output is only read,
-    and each held frame is added where it lands, so no full-rate copy of it
-    is made.
+def add_held(features: np.ndarray, held: np.ndarray, factor: int) -> np.ndarray:
+    """Add ``held``, computed on ``downsample_t(features, factor)``, into
+    ``features`` under a zero-order hold and return ``features``. Only
+    min(factor, T) phases hold frames, and no full-rate copy is made.
     """
-    held = core(downsample_t(features, factor))
     for phase in range(min(factor, features.shape[-2])):
         frames = features[..., phase::factor, :]
         frames += held[..., : frames.shape[-2], :]

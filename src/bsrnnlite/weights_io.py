@@ -118,10 +118,7 @@ def load_weights(path: str | Path):
     raise WeightsFormatError;
     whether the tensor *set* matches a config is the model builder's concern.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except IsADirectoryError as exc:
-        raise WeightsFormatError(f"{path} is a directory") from exc
+    raw = Path(path).read_bytes()  # OSError (IsADirectoryError for a directory) passes through
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise WeightsFormatError(f"{path} is not a weights file (bad magic)")
     version = int.from_bytes(raw[4:8], "little")

@@ -107,6 +107,23 @@ class TestBandSplit:
             band_split(np.zeros((9, 4), dtype=np.complex64), _split_weights(rng, LAYOUT, 4), LAYOUT)
 
 
+CANONICAL = canonical_bands(257)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: BandConfig(()), "at least one band"),
+    (lambda: band_split(np.zeros(257, np.complex64), (None,) * 23, CANONICAL), r"\[F x T\]"),
+    (lambda: band_split(np.zeros((257, 3), np.complex64), (None,) * 22, CANONICAL),
+     "22 band projections for 23 bands"),
+    (lambda: estimate_mask(np.zeros((22, 3, 4)), (None,) * 23, CANONICAL), r"\[23 x T x N\]"),
+    (lambda: estimate_mask(np.zeros((23, 3, 4)), (None,) * 22, CANONICAL),
+     "22 mask heads for 23 bands"),
+], ids=["no bands", "1-D spectrogram", "22 projections", "22 bands of features", "22 heads"])
+def test_refused_before_any_band_runs(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
 class TestMaskHead:
     def test_mask_shape_and_dtype(self):
         rng = np.random.default_rng(5)

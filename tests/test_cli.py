@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -132,6 +133,14 @@ class TestGenWeights:
         assert a.read_bytes() == b.read_bytes()
         assert "seed 41" in capsys.readouterr().err
 
+    def test_output_onto_its_own_config_is_refused(self, assets, tmp_path, capsys):
+        config = shutil.copy(assets["config"], tmp_path / "c.json")
+        before = config.read_bytes()
+        assert main(["gen-weights", "--config", str(config), "--output", str(config)]) == EXIT_IO
+        assert capsys.readouterr().err == (f"error: io: --output {config} is the --config file; "
+                                           "it is never overwritten\n")
+        assert config.read_bytes() == before
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     def test_weights_to_stdout_through_a_pipe(self, assets, tmp_path):
         # the status line goes to stderr, so stdout carries the weights bytes alone
@@ -198,6 +207,39 @@ class TestEnhance:
         assert self._run(assets, src, src) == EXIT_OK
         for name in ("a.wav", "b.wav"):
             assert (src / name).read_bytes() == (dst / name).read_bytes()
+
+    @pytest.mark.parametrize("target", ["weights", "config", "link to weights", "dir onto weights"])
+    def test_output_onto_its_own_weights_or_config_is_refused(self, assets, tmp_path, target,
+                                                              monkeypatch, capsys):
+        # refused before either file is loaded; both stay byte-identical
+        config = shutil.copy(assets["config"], tmp_path / "c.json")
+        weights = shutil.copy(assets["weights"], tmp_path / "w.bsrw")
+        src = assets["wav"]
+        if target == "link to weights":
+            (tmp_path / "link.wav").symlink_to(weights)
+        elif target == "dir onto weights":  # directory mode: one target is the weights file
+            src, out = tmp_path / "in", tmp_path / "out"
+            src.mkdir()
+            out.mkdir()
+            shutil.copy(assets["wav"], src / "a.wav")
+            weights = shutil.move(weights, out / "a.wav")
+        before = {path: path.read_bytes() for path in (config, weights)}
+        output = {"weights": weights, "config": config, "link to weights": tmp_path / "link.wav",
+                  "dir onto weights": tmp_path / "out"}[target]
+        for module, name in ((cli.configio, "load_config"), (cli.weights_io, "load_weights")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("loaded"))
+        capsys.readouterr()
+        assert main(["enhance", "--config", str(config), "--weights", str(weights),
+                     "--input", str(src), "--output", str(output)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: io: --output "), err
+        assert err.endswith(f"is the --{target.split()[-1]} file; it is never overwritten\n")
+        assert {path: path.read_bytes() for path in (config, weights)} == before
+
+    def test_empty_input_directory(self, assets, tmp_path, capsys):
+        (tmp_path / "in").mkdir()
+        assert self._run(assets, tmp_path / "in", tmp_path / "out") == EXIT_AUDIO
+        assert capsys.readouterr().err == f"error: audio: no wav files in {tmp_path / 'in'}\n"
 
     def test_oa_passthrough_at_one(self, assets, tmp_path):
         out_path = tmp_path / "same.wav"
@@ -270,6 +312,15 @@ class TestEnhance:
         assert capsys.readouterr().err.splitlines() == [
             "error: weights: 1 bytes past the last tensor"]
 
+    @pytest.mark.parametrize("flag", ["--config", "--weights"])
+    def test_directory_given_as_a_file_is_io(self, assets, tmp_path, flag, capsys):
+        # one category for both flags: the directory cannot be read as a file
+        argv = {"--config": str(assets["config"]), "--weights": str(assets["weights"]),
+                "--input": str(assets["wav"]), "--output": str(tmp_path / "o.wav"), flag: str(tmp_path)}
+        assert main(["enhance", *[part for item in argv.items() for part in item]]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: io: "), err
+
     def test_missing_input_file(self, assets, tmp_path, capsys):
         code = main(["enhance", "--config", str(assets["config"]),
                      "--weights", str(assets["weights"]),
@@ -320,6 +371,7 @@ class TestErrorsAndUsage:
         ["calibrate", "--target-base", "nan"],
         ["calibrate", "--target-grouped", "inf"],
         ["calibrate", "--dim-max", "1000000"],
+        ["table", "--variants", os.devnull],  # a file, not a directory
     ], ids=" ".join)
     def test_nonfinite_and_zero_flags_rejected(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

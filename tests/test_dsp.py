@@ -33,6 +33,10 @@ class TestConfig:
         assert cfg.num_frames(65) == 5
         assert cfg.num_frames(80) == 6
 
+    def test_frame_count_needs_a_sample(self):
+        with pytest.raises(ConfigError, match="num_samples must be >= 1"):
+            StftConfig().num_frames(0)
+
     @pytest.mark.parametrize("bad", [dict(fft_size=48), dict(fft_size=0),
                                      dict(hop_size=0), dict(hop_size=512),
                                      dict(window="hamming"), dict(sample_rate=0)])

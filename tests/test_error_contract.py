@@ -7,7 +7,8 @@ is either empty (exit 0, bar the status line of an ``enhance`` or a
 ``gen-weights``, which goes to stderr) or exactly one
 ``error: <category>: <message>`` line whose category matches the code.
 Every warning counts as shown on stderr, so a warning breaks the
-one-line rule.
+one-line rule. A flags run also writes no file but the command's output,
+and never the command's own config or weights.
 """
 
 import contextlib
@@ -254,13 +255,16 @@ FLAGS = {
                   "--top": ("5", (*ODD, "1", "2", "3"))},
 }
 KEPT = {"--seconds", "--runs"}  # bench's defaults, 3 x 10 s, are not tiny
+OUTPUT = {"--out", "--output"}
 
 
 @st.composite
 def _command_lines(draw):
-    """A subcommand and a subset of its flags, each value as ``--flag=value`` or ``--flag value``."""
+    """A subcommand and a subset of its flags, each value as ``--flag=value`` or ``--flag value``.
+
+    An output flag (drawn last) also draws from the values of the path flags before it."""
     command = draw(st.sampled_from(sorted(FLAGS)))
-    argv = [command]
+    argv, paths = [command], []
     for flag, values in FLAGS[command].items():
         kept = command == "bench" and flag in KEPT
         if not (kept or draw(st.integers(0, 3))):  # a flag is left out one time in four
@@ -269,9 +273,20 @@ def _command_lines(draw):
             argv.append(flag)
         else:
             valid, pool = values
-            value = draw(st.just(valid) | st.sampled_from(pool))
+            value = draw(st.just(valid) | st.sampled_from(pool)
+                         | (st.sampled_from(paths) if flag in OUTPUT and paths else st.nothing()))
+            if pool is PATHS:
+                paths.append(value)
             argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
     return argv
+
+
+def _values(argv, flags):
+    """The values that the given flags take in ``argv``."""
+    for i, arg in enumerate(argv):
+        flag, eq, value = arg.partition("=")
+        if flag in flags and (eq or i + 1 < len(argv)):
+            yield value if eq else argv[i + 1]
 
 
 @settings(PROPERTY, max_examples=200)
@@ -282,7 +297,11 @@ def _command_lines(draw):
 @example(argv=["calibrate", "--dim-min", "nan"])
 @example(argv=["table", "--variants", "dir", "--extended"])
 @example(argv=["analyze", "--config", "config.json", "--duration", "-1e3"])  # read as an option
+@example(argv=["enhance", "--config", "config.json", "--weights", "weights.bsrw",
+               "--in", "noisy.wav", "--out", "weights.bsrw"])  # wrote a wav over the weights
+@example(argv=["gen-weights", "--config", "config.json", "--output", "config.json"])
 def test_flags(files, argv):
+    # no file but the command's output is ever written, and never its config or weights
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name in ("config.json", "weights.bsrw", "noisy.wav"):
@@ -290,12 +309,16 @@ def test_flags(files, argv):
         (root / "dir").mkdir()
         (root / "empty").touch()
         (root / "notes.txt").write_text("not a wav file\n")
+        before = {path: path.read_bytes() for path in root.iterdir() if path.is_file()}
         cwd = os.getcwd()
         os.chdir(root)  # the drawn paths are relative
         try:
             code, stderr = _run(argv)
         finally:
             os.chdir(cwd)
+        written = {path for path, data in before.items() if path.read_bytes() != data}
+        inputs = {root / value for value in _values(argv, {"--config", "--weights"})}
+        assert written <= {root / value for value in _values(argv, OUTPUT)} - inputs, argv
     if code == cli.EXIT_OK and argv[0] in ("enhance", "gen-weights"):
         status, _, stderr = stderr.partition("\n")
         assert status.startswith(f"{cli.build_parser().parse_args(argv).output}: "), status

@@ -64,6 +64,8 @@ class TestConfigValidation:
             tiny_config(num_layers=-1)
         with pytest.raises(ConfigError):
             tiny_config(mask_hidden_ratio=0)
+        with pytest.raises(ConfigError, match="group_size must be >= 1"):
+            tiny_config(group_size=0)
 
     def test_band_coverage_checked_against_stft(self):
         with pytest.raises(ConfigError, match="covers"):

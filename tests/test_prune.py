@@ -1,10 +1,12 @@
-"""Pruning schedules and the band bypass."""
+"""Pruning schedules, and the band bypass through ``forward_features``."""
 
 import numpy as np
 import pytest
 
-from bsrnnlite import ConfigError, SbpStrategy, prune_schedule
-from bsrnnlite.prune import apply_pruned_time_rnn
+from bsrnnlite import BandConfig, ConfigError, SbpStrategy, forward_features, prune_schedule
+from bsrnnlite.model import resampled_sublayer
+
+from util import build_tiny
 
 
 class TestSchedule:
@@ -26,6 +28,12 @@ class TestSchedule:
             prune_schedule(SbpStrategy.aggressive(5), 2, 5)
         prune_schedule(SbpStrategy.aggressive(4), 2, 5)  # K-1 is fine
 
+    def test_counts_checked(self):
+        with pytest.raises(ConfigError, match="num_layers must be >= 0"):
+            prune_schedule(SbpStrategy.none(), -1, 23)
+        with pytest.raises(ConfigError, match="num_bands must be >= 1"):
+            prune_schedule(SbpStrategy.none(), 2, 0)
+
     def test_progressive_needs_more_bands_than_layers(self):
         with pytest.raises(ConfigError):
             prune_schedule(SbpStrategy.progressive(), 23, 23)
@@ -40,58 +48,69 @@ class TestSchedule:
             SbpStrategy("aggressive", skip_bands=-1)
 
 
+SIX_BANDS = BandConfig(((0, 3), (3, 6), (6, 9), (9, 12), (12, 15), (15, 17)))
+
+
+def _time_stages(prune, **overrides):
+    """The tiny model, its per-layer skips, and per layer a copy of each time
+    stage's array and, under ``arrays``, the arrays themselves in stage order."""
+    cfg, net = build_tiny(prune=prune, **overrides)
+    stages = {}
+
+    def probe(stage, layer, array):
+        if stage.startswith("time_"):
+            stages.setdefault(layer, {})[stage] = array.copy()
+            stages[layer].setdefault("arrays", []).append(array)
+
+    x = np.random.default_rng(0).standard_normal((cfg.num_bands, 5, cfg.feature_dim))
+    forward_features(net, x, probe=probe)
+    return net, [row[2] for row in cfg.plan[1]], stages
+
+
+def _time_sublayer(net, layer, bands):
+    """Layer ``layer``'s time sublayer run alone on a copy of ``bands``."""
+    return resampled_sublayer(bands.copy(), net.weights.time_layers[layer - 1], 1, False,
+                              lambda core: None, [])
+
+
 class TestBypass:
-    # the helper stores into the array it is given and returns it, so the expected
-    # values come from a copy taken before the call
+    """The time-RNN bypass of ``forward_features``, seen through its probe."""
+
     def test_split_point(self):
-        x = np.random.default_rng(0).standard_normal((5, 4, 3))
-        before = x.copy()
-        out = apply_pruned_time_rnn(x, lambda z: z + 1.0, 2)
-        assert out is x
-        assert np.array_equal(out[:3], before[:3] + 1.0)
-        assert out[3:].tobytes() == before[3:].tobytes()  # bitwise copy of the top bands
+        net, skips, stages = _time_stages(SbpStrategy.aggressive(2))
+        for layer, s in stages.items():
+            active = len(s["time_in"]) - skips[layer - 1]
+            assert active == 1 and s["time_core"].shape[0] == active
+            want = _time_sublayer(net, layer, s["time_in"][:active])
+            assert s["time_out"][:active].tobytes() == want.tobytes()
+            assert s["time_out"][active:].tobytes() == s["time_in"][active:].tobytes()
 
     def test_skip_zero_processes_everything(self):
-        x = np.random.default_rng(1).standard_normal((4, 3, 2))
-        before = x.copy()
-        out = apply_pruned_time_rnn(x, lambda z: z * 2.0, 0)
-        assert out is x and np.array_equal(out, before * 2.0)
+        net, skips, stages = _time_stages(SbpStrategy.aggressive(0))
+        assert skips == [0, 0]
+        for layer, s in stages.items():
+            assert s["time_core"].shape[0] == len(s["time_in"])
+            want = _time_sublayer(net, layer, s["time_in"])
+            assert s["time_out"].tobytes() == want.tobytes()
 
     def test_max_skip_leaves_one_band_active(self):
-        x = np.random.default_rng(2).standard_normal((4, 3, 2))
-        before = x.copy()
-        out = apply_pruned_time_rnn(x, lambda z: z - 1.0, 3)
-        assert out is x
-        assert np.array_equal(out[0], before[0] - 1.0)
-        assert np.array_equal(out[1:], before[1:])
+        net, _, stages = _time_stages(SbpStrategy.aggressive(5), bands=SIX_BANDS)
+        for layer, s in stages.items():
+            assert s["time_core"].shape[0] == 1
+            want = _time_sublayer(net, layer, s["time_in"][:1])
+            assert s["time_out"][:1].tobytes() == want.tobytes()
+            assert s["time_out"][1:].tobytes() == s["time_in"][1:].tobytes()
 
     def test_sublayer_sees_only_active_bands(self):
-        seen = {}
-        x = np.zeros((6, 3, 2))
-
-        def sub(z):
-            seen["bands"] = z.shape[0]
-            return z
-
-        apply_pruned_time_rnn(x, sub, 4)
-        assert seen["bands"] == 2
+        _, skips, stages = _time_stages(SbpStrategy.progressive(), bands=SIX_BANDS)
+        assert skips == [1, 2]
+        assert {layer: s["time_core"].shape[0] for layer, s in stages.items()} == {1: 5, 2: 4}
 
     def test_in_place_stores_into_features(self):
-        x = np.random.default_rng(3).standard_normal((5, 4, 3))
-        want = apply_pruned_time_rnn(x.copy(), lambda z: z * 3.0, 2)
-        top = x[3:].copy()
-
-        def sub(z):  # updates its view of the active bands, as the stack's sublayers do
-            z *= 3.0
-            return z
-
-        got = apply_pruned_time_rnn(x, sub, 2)
-        assert got is x and got.tobytes() == want.tobytes()
-        assert got[3:].tobytes() == top.tobytes()
-
-    def test_skip_bounds(self):
-        x = np.zeros((4, 3, 2))
-        with pytest.raises(ConfigError):
-            apply_pruned_time_rnn(x, lambda z: z, 4)
-        with pytest.raises(ConfigError):
-            apply_pruned_time_rnn(x, lambda z: z, -1)
+        # the active bands are updated in their view of the stack's array: no copy is stored
+        _, skips, stages = _time_stages(SbpStrategy.progressive())
+        for layer, s in stages.items():
+            time_in, time_out = s["arrays"][0], s["arrays"][-1]
+            assert time_out is time_in and np.shares_memory(s["arrays"][1], time_in)
+            active = len(time_in) - skips[layer - 1]
+            assert s["time_out"][active:].tobytes() == s["time_in"][active:].tobytes()

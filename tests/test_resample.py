@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bsrnnlite import ConfigError, LwrStrategy, forward_features
-from bsrnnlite import plan_resampling, resample
-from bsrnnlite.resample import downsample_t, reduced_frames, resampled_sublayer, upsample_t
+from bsrnnlite import model, plan_resampling, resample
+from bsrnnlite.resample import add_held, downsample_t, reduced_frames, upsample_t
 
 from util import build_tiny
 
@@ -49,17 +49,21 @@ class TestStride:
             upsample_t(np.zeros((1, 3, 2)), 2, 8)  # needs ceil(8/2)=4 frames
         with pytest.raises(ConfigError):
             downsample_t(np.zeros((1, 3, 2)), 0)
+        with pytest.raises(ConfigError, match="factor must be >= 1"):
+            upsample_t(np.zeros((1, 3, 2)), 0, 8)
 
 
 class TestResampledSublayer:
-    # the helper adds into the array it is given and returns it, so the expected
+    """The hold-add of ``model.resampled_sublayer``: ``add_held`` on plain arrays."""
+
+    # add_held adds into the array it is given and returns it, so the expected
     # values come from a copy taken before the call
     def test_factor_one_is_plain_residual(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 6, 4))
         core_out = rng.standard_normal((3, 6, 4))
         want = x + core_out
-        got = resampled_sublayer(x, lambda z: core_out, 1)
+        got = add_held(x, core_out, 1)
         assert got is x and np.array_equal(got, want)
 
     def test_factor_one_holds_nothing(self, monkeypatch):
@@ -67,52 +71,58 @@ class TestResampledSublayer:
             raise AssertionError("factor 1 must not hold")
 
         monkeypatch.setattr(resample, "upsample_t", no_hold)
+        monkeypatch.setattr(model, "upsample_t", no_hold)
         x = np.random.default_rng(4).standard_normal((2, 5, 3))
         want = 3.0 * x
-        got = resampled_sublayer(x, lambda z: 2.0 * z, 1)
+        got = add_held(x, 2.0 * x, 1)
         assert got is x and np.array_equal(got, want)
+        _, net = build_tiny(resample=LwrStrategy.all_layers(1))
+        forward_features(net, np.random.default_rng(4).standard_normal((3, 5, 6)))
 
     def test_zero_core_is_identity(self):
         x = np.random.default_rng(2).standard_normal((3, 7, 4))
         before = x.copy()
-        assert np.array_equal(resampled_sublayer(x, np.zeros_like, 3), before)
+        assert np.array_equal(add_held(x, np.zeros((3, 3, 4)), 3), before)
 
     def test_matches_manual_expansion(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 5, 3))
         held = np.repeat(2.0 * x[:, ::2], 2, axis=1)[:, :5]
         want = x + held
-        got = resampled_sublayer(x, lambda z: 2.0 * z, 2)
+        got = add_held(x, 2.0 * x[:, ::2], 2)
         assert got is x and np.array_equal(got, want)
 
     def test_core_sees_reduced_rate(self):
-        seen = {}
-        x = np.zeros((2, 9, 3))
-
-        def core(z):
-            seen["frames"] = z.shape[1]
-            return z
-
-        resampled_sublayer(x, core, 4)
-        assert seen["frames"] == 3
+        # each *_core stage is the array its core computes on: ceil(T / factor) frames
+        for strategy in (LwrStrategy.all_layers(4), LwrStrategy.alternating(4)):
+            _, net = build_tiny(resample=strategy)
+            pairs = dict(enumerate(net.config.plan[1], start=1))
+            seen = []
+            forward_features(net, np.zeros((3, 9, 6)), probe=lambda stage, layer, array:
+                             seen.append((stage, layer, array.shape[1])))
+            assert len(seen) == 12
+            for stage, layer, frames in seen:
+                factor = {"band_core": pairs[layer][0], "time_core": pairs[layer][1]}.get(stage, 1)
+                assert frames == reduced_frames(9, factor) == (3 if factor == 4 else 9), stage
 
     def test_factor_past_the_frame_count_costs_nothing_extra(self):
         # only min(factor, T) phases hold frames; visiting all 10**7 takes seconds
         x = np.random.default_rng(5).standard_normal((1, 3, 2))
-        want = resampled_sublayer(x.copy(), np.sin, 3)
+        held = np.sin(x[:, :1])  # one frame: the downsampled input at either factor
+        want = add_held(x.copy(), held, 3)
         start = time.perf_counter()
-        got = resampled_sublayer(x, np.sin, 10**7)
+        got = add_held(x, held, 10**7)
         assert time.perf_counter() - start < 1.0
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_in_place_adds_into_features(self, factor):
-        # the core reads the frames before any sum lands: the held sum of a copy
+        # bitwise the full-rate hold of the core output added to a copy
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 7, 3))
-        held = upsample_t(np.sin(downsample_t(x, factor)), factor, 7)
-        want = x + held
-        got = resampled_sublayer(x, np.sin, factor)
+        held = np.sin(downsample_t(x, factor))
+        want = x + upsample_t(held, factor, 7)
+        got = add_held(x, held, factor)
         assert got is x and got.tobytes() == want.tobytes()
 
 
@@ -178,6 +188,10 @@ class TestPlanning:
     def test_sync_explicit_targets(self):
         _, pairs = plan_resampling(LwrStrategy.sync(2, target_layers=(2, 3)), 4)
         assert _flags(pairs) == [(False, False), (True, True), (True, True), (False, False)]
+
+    def test_negative_layer_count(self):
+        with pytest.raises(ConfigError, match="num_layers must be >= 0"):
+            plan_resampling(LwrStrategy.none(), -1)
 
     def test_sync_target_out_of_range(self):
         with pytest.raises(ConfigError, match="exceed"):

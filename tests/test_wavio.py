@@ -59,6 +59,16 @@ def test_unsupported_dtype_rejected(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("samples, fmt, error, match", [
+    (np.zeros((100, 2)), PCM16, AudioFormatError, "mono required"),
+    (np.zeros(100), "pcm24", ValueError, "unknown wav format"),
+], ids=["2-D data", "pcm24"])
+def test_write_refusals(tmp_path, samples, fmt, error, match):
+    with pytest.raises(error, match=match):
+        write_wav(tmp_path / "w.wav", samples, 16000, fmt)
+    assert not (tmp_path / "w.wav").exists()
+
+
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "nope.wav")

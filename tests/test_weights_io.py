@@ -114,6 +114,11 @@ class TestContainer:
         assert np.array_equal(a.reshape(first["shape"]),
                               gen_weights(tiny_config(), seed=0)[next(iter(doc["tensors"]))])
 
+    def test_directory_is_an_os_error(self, tmp_path):
+        # the CLI reports it as io (exit 5), as it does a directory given as a config
+        with pytest.raises(IsADirectoryError):
+            load_weights(tmp_path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bsrw"
         path.write_bytes(b"WAVE" + b"\0" * 32)
