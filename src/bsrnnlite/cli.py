@@ -16,8 +16,11 @@ format, 4 configuration, 5 file I/O, 64 usage. Diagnostics are a single
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -55,7 +58,34 @@ def _enhance_one(net, src: Path, dst: Path, oa: OaConfig | None) -> None:
         raise AudioFormatError(f"{src}: sample rate {rate}, model expects {expected}")
     out = model.enhance(net, samples, oa=oa)
     del samples  # a long file's input need not outlive its enhancement
-    wavio.write_wav(dst, out, rate, fmt)
+    _write_replacing(dst, lambda path: wavio.write_wav(path, out, rate, fmt))
+
+
+def _write_replacing(path, write) -> None:
+    """Run ``write(name)`` so that a failed write never leaves ``path`` half written.
+
+    A regular file, or a new one, is written to a temporary sibling that then
+    replaces it (``os.replace``; through a link, the file the link names); if the
+    write fails, the sibling is removed and ``path`` is as it was. Any other
+    target, such as a pipe or ``/dev/stdout``, is written in place, streaming.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        write(path)
+        return
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "No such directory", str(path))
+    temporary = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    try:
+        write(temporary)
+        if os.path.exists(target):
+            shutil.copymode(target, temporary)
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 def _refuse_clobber(targets, args) -> None:
@@ -143,7 +173,7 @@ def cmd_gen_weights(args) -> int:
     config = configio.load_config(args.config)
     arrays = weights_io.gen_weights(config, args.seed)
     meta = {"config_name": config.name, "seed": args.seed}
-    weights_io.save_weights(args.output, arrays, meta)
+    _write_replacing(args.output, lambda path: weights_io.save_weights(path, arrays, meta))
     total = sum(a.size for a in arrays.values())
     print(f"{args.output}: {len(arrays)} tensors, {total} parameters, seed {args.seed}",
           file=sys.stderr)

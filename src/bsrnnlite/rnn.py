@@ -15,7 +15,7 @@ that a step runs one ``tanh`` over all gates in place; this is exact too,
 bar subnormal sums (see :func:`lstm_forward_batch`).
 
 Threads: :func:`_split` runs the kernel's batch rows, the first axis of a
-3-D :func:`layer_norm` or :func:`dense`, and the mask head's bands in
+:func:`layer_norm` or :func:`dense` input, and the mask head's bands in
 shares over the CPUs, and an unsplit kernel call projects its next block on
 the pool while it steps, with outputs bitwise those of one thread.
 
@@ -64,7 +64,7 @@ MIN_SHARE_ROWS = 24
 #: thread a sweep found mismatches at widths of 16 or less and at every odd h
 #: from 21 to 45, and none at even h from 8 to 72.
 MIN_SPLIT_GATES = 32
-#: fewest elements in one share of a 3-D :func:`layer_norm` or :func:`dense`
+#: fewest elements in one share of a :func:`layer_norm` or :func:`dense`
 #: output or of :func:`bsrnnlite.bands.estimate_mask`'s input. Split in two on
 #: two CPUs, norms and projections ran 1.3x or faster from 2 x 2**16
 #: elements, norms of 2**16 to 2**17 elements 0.74-1.06x, and the mask head
@@ -163,21 +163,10 @@ def _share(run, lo, hi):
         _LOCAL.share = False
 
 
-def _row_major(weight: np.ndarray) -> np.ndarray:
-    """``weight`` with its last two axes swapped, as a C-contiguous float64 copy.
-
-    On one OpenBLAS thread, ``[23 x 72] @ [72 x 288]`` (a time-RNN step) and
-    ``[23 x 144] @ [144 x 126]`` (a band-orientation projection) ran 1.6x
-    and 1.7x faster on row-major operands than on a transposed view, with
-    the same sums; GEMMs of 313 rows or more ran within 6%.
-    """
-    return np.ascontiguousarray(weight.swapaxes(-1, -2), dtype=np.float64)
-
-
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize over the last axis, then apply the affine (gamma, beta).
 
-    A 3-D input is split over its first axis (:func:`_split`); every row
+    The input is split over its first axis (:func:`_split`); every row
     reduces alone, so shares change no bit.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -191,28 +180,26 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
         part *= gamma
         part += beta
 
-    _split(run, len(x), out.size // MIN_SHARE_ELEMENTS if x.ndim == 3 else 1)
+    _split(run, len(x), out.size // MIN_SHARE_ELEMENTS)
     return out
 
 
 def dense(x, weight, bias):
     """Affine map on the last axis: ``x @ weight.T + bias``, ``weight`` ``[out x in]``.
 
-    A 3-D input runs one GEMM per slice of its first axis, as ``matmul``
-    does, on a row-major copy of ``weight``, and is split over that axis
-    (:func:`_split`). A 2-D input runs one GEMM of all its rows, which a
-    transposed copy would not speed up.
+    The input is split over its first axis (:func:`_split`); each share runs
+    one GEMM of all its rows, flattened to 2-D, on the stored weight's
+    transposed view. A share writes at least :data:`MIN_SHARE_ELEMENTS`
+    outputs, and on one BLAS thread the shares change no bit unless the
+    output is one column wide (README "Threads").
     """
-    if x.ndim != 3:
-        out = x @ weight.astype(np.float64, copy=False).T
-        out += bias
-        return out
-    weight = _row_major(weight)
+    weight = weight.astype(np.float64, copy=False).T
     out = np.empty(x.shape[:-1] + weight.shape[1:])
 
     def run(lo, hi):
-        np.matmul(x[lo:hi], weight, out=out[lo:hi])
-        out[lo:hi] += bias
+        rows = out[lo:hi].reshape(-1, out.shape[-1])
+        np.matmul(x[lo:hi].reshape(-1, x.shape[-1]), weight, out=rows)
+        rows += bias
 
     _split(run, len(x), out.size // MIN_SHARE_ELEMENTS)
     return out

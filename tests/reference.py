@@ -157,6 +157,18 @@ def naive_dense(x, weight, bias):
     return np.array(rows).reshape(x.shape[:-1] + (weight.shape[0],))
 
 
+def row_major_dense(x, weight, bias):
+    """``rnn.dense`` before it ran one flat GEMM per share: a 2-D input in one GEMM
+    on the weight's transposed view, a 3-D input in one GEMM per slice of its first
+    axis (``matmul``) on a C-contiguous float64 copy of ``weight.T``."""
+    if x.ndim != 3:
+        out = x @ weight.astype(np.float64, copy=False).T
+    else:
+        out = np.matmul(x, np.ascontiguousarray(weight.T, dtype=np.float64))
+    out += bias
+    return out
+
+
 def straight_line_layer(features, band_w, time_w, band_bidirectional=True,
                         time_bidirectional=False):
     """One dual-path layer, ungrouped, no resampling or pruning.

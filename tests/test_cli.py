@@ -1,10 +1,13 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
+import errno
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +159,39 @@ class TestGenWeights:
         assert list(load_weights(piped)[0]) == list(expected_tensors(tiny_config()))
         assert done.stderr.decode().startswith("/dev/stdout: ")
 
+    def test_failed_write_leaves_an_existing_file_unchanged(self, assets, tmp_path, monkeypatch,
+                                                             capsys):
+        out = shutil.copy(assets["weights"], tmp_path / "w.bsrw")
+        before, full = out.read_bytes(), OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def save_weights(path, arrays, meta):  # half a file, then a full disk
+            Path(path).write_bytes(before[: len(before) // 2])
+            raise full
+
+        monkeypatch.setattr(cli.weights_io, "save_weights", save_weights)
+        assert main(["gen-weights", "--config", str(assets["config"]), "--seed", "5",
+                     "--output", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: io: {full}\n"
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]  # no temporary file is left
+
+    def test_replacing_keeps_the_link_and_the_mode(self, assets, tmp_path):
+        out, link = tmp_path / "w.bsrw", tmp_path / "link.bsrw"
+        out.write_bytes(b"old")
+        out.chmod(0o640)
+        link.symlink_to(out)
+        assert main(["gen-weights", "--config", str(assets["config"]), "--seed", "0",
+                     "--output", str(link)]) == EXIT_OK
+        assert link.is_symlink() and out.read_bytes() == assets["weights"].read_bytes()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.bsrw", "w.bsrw"]
+
+    def test_output_in_a_missing_directory(self, assets, tmp_path, capsys):
+        out = tmp_path / "missing" / "w.bsrw"
+        assert main(["gen-weights", "--config", str(assets["config"]), "--output", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: io: [Errno 2] No such directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEnhance:
     def test_single_file(self, assets, tmp_path, capsys):
@@ -207,6 +243,36 @@ class TestEnhance:
         assert self._run(assets, src, src) == EXIT_OK
         for name in ("a.wav", "b.wav"):
             assert (src / name).read_bytes() == (dst / name).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["file", "directory"])
+    def test_failed_write_leaves_the_input_unchanged(self, assets, tmp_path, mode, monkeypatch,
+                                                     capsys):
+        # --output is --input; the write of b.wav fails midway, as on a full disk
+        src = tmp_path / "in"
+        src.mkdir()
+        rng = np.random.default_rng(10)
+        for name in ("a.wav", "b.wav"):
+            wavio.write_wav(src / name, rng.standard_normal(400).astype(np.float32) * 0.1, 8000,
+                            "pcm16")
+        before = {path.name: path.read_bytes() for path in src.iterdir()}
+        real, written, full = wavio.write_wav, [], OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def write_wav(path, *args):
+            written.append(Path(path))
+            if mode == "file" or len(written) == 2:
+                Path(path).write_bytes(before["b.wav"][:30])
+                raise full
+            real(path, *args)
+
+        monkeypatch.setattr(cli.wavio, "write_wav", write_wav)
+        target = src if mode == "directory" else src / "b.wav"
+        assert self._run(assets, target, target) == EXIT_IO
+        assert capsys.readouterr().err.endswith(f"error: io: {full}\n")
+        assert all(path.parent == src and path.name.startswith(".") for path in written)
+        after = {path.name: path.read_bytes() for path in src.iterdir()}
+        assert sorted(after) == ["a.wav", "b.wav"]  # no temporary file is left
+        assert after["b.wav"] == before["b.wav"]
+        assert (after["a.wav"] != before["a.wav"]) is (mode == "directory")  # a.wav was enhanced
 
     @pytest.mark.parametrize("target", ["weights", "config", "link to weights", "dir onto weights"])
     def test_output_onto_its_own_weights_or_config_is_refused(self, assets, tmp_path, target,

@@ -317,6 +317,7 @@ def test_flags(files, argv):
         finally:
             os.chdir(cwd)
         written = {path for path, data in before.items() if path.read_bytes() != data}
+        written |= set(root.iterdir()) - set(before) - {root / "dir"}  # no temporary file is left
         inputs = {root / value for value in _values(argv, {"--config", "--weights"})}
         assert written <= {root / value for value in _values(argv, OUTPUT)} - inputs, argv
     if code == cli.EXIT_OK and argv[0] in ("enhance", "gen-weights"):

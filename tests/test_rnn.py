@@ -532,14 +532,65 @@ class TestGatheredOracle:
         assert (runs, split, bad) == (10 * 5 * 2 * 3 * 3 * 2, 3 * 5 * 2 * 2 * 2 * 2, 0)
 
 
+class TestRowMajorDenseOracle:
+    """``dense`` against its per-slice, row-major form (``reference.row_major_dense``)."""
+
+    def test_bitwise_over_a_shape_grid_on_one_blas_thread(self):
+        # a subprocess, so the BLAS starts pinned to one thread whatever this process runs
+        script = textwrap.dedent("""
+            import itertools
+            import numpy as np
+            from bsrnnlite import rnn
+            from bsrnnlite.rnn import dense
+            from reference import row_major_dense
+            rng = np.random.default_rng(11)
+            shares, real = [], rnn._share
+            rnn._share = lambda run, lo, hi: (shares.append((lo, hi)), real(run, lo, hi))
+            runs = split = bad = 0
+            worst = 0.0
+            for width, rows, ndim, strided in itertools.product(
+                    (1, 3, 7, 8, 16, 17, 21, 33, 64, 126), range(1, 41), (2, 3), (False, True)):
+                n_in = int(rng.integers(1, 160))
+                w, b = rng.uniform(-1, 1, (width, n_in)).astype(np.float32), rng.uniform(-1, 1, width)
+                # wide, tall slices come in enough of them for three shares
+                slices = (-(-3 * rnn.MIN_SHARE_ELEMENTS // (rows * width))
+                          if width >= 64 and rows >= 20 else int(rng.integers(1, 9)))
+                shape = (rows, n_in) if ndim == 2 else (slices, rows, n_in)
+                x = rng.standard_normal(shape[:-1] + (n_in + 3 * strided,))[..., :n_in]
+                want = row_major_dense(x, w, b)
+                # README "Threads": where a flat GEMM may sum unlike per-slice row-major ones
+                near = ndim == 3 and (rows <= 16 or width < 64 or 1 <= width % 8 <= 4)
+                for workers in (1, 2, 3):
+                    rnn._WORKERS = workers
+                    shares.clear()
+                    got = dense(x, w, b)
+                    runs += 1
+                    split += len(shares) > 1
+                    if near:
+                        worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+                    else:
+                        bad += got.tobytes() != want.tobytes()
+            print(runs, split, bad, worst)
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, TESTS, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=True)
+        runs, split, bad, worst = done.stdout.split()
+        # widths 64 and 126 at 20-40 rows split in two and in three at 2 and 3 workers
+        assert (int(runs), int(split), int(bad)) == (10 * 40 * 2 * 2 * 3, 2 * 21 * 2 * 2, 0)
+        assert float(worst) <= 1e-12  # test_dense_is_x_times_weight_transposed_plus_bias's bound
+
+
 class TestHelperSplit:
-    """``layer_norm`` and 3-D ``dense`` split over their first axis: same bytes."""
+    """``layer_norm`` and ``dense`` split over their first axis: same bytes."""
 
     @pytest.mark.parametrize("frames", [22, 46, 91], ids=lambda t: f"T{t}")
     def test_norm_and_dense_bitwise_at_one_two_and_three_workers(self, frames, force_workers,
                                                                  split_shares):
         # [23 x T x 126] with 2**16-element shares: 22 frames split nowhere, 46 once, 91
-        # into 7/8/8 bands at 3 workers
+        # into 7/8/8 bands at 3 workers; flattened to 2-D, into rows alike
         rng = np.random.default_rng(23 + frames)
         x = rng.standard_normal((23, frames, 126))
         gamma, beta = rng.standard_normal((2, 126))
@@ -547,7 +598,9 @@ class TestHelperSplit:
         hidden = rng.standard_normal((frames, 23, 144))
         calls = (lambda: layer_norm(x, gamma, beta),
                  lambda: layer_norm(x.transpose(1, 0, 2), gamma, beta),
+                 lambda: layer_norm(x.reshape(-1, 126), gamma, beta),
                  lambda: dense(hidden, w, b),
+                 lambda: dense(hidden.reshape(-1, 144), w, b),
                  lambda: dense(x[:, :, :72], w[:, :72], b))
         force_workers(1)
         want = [call().tobytes() for call in calls]
