@@ -6,6 +6,11 @@ executed: the arrays each sublayer core computed on, reported through
 forward_features's probe, against the sizes of the weights loaded. The
 two totals agreeing integer for integer is the correctness argument for
 the whole cost model.
+
+A count depends only on array shapes, never on their values, so
+count_forward() runs the layer stack in float32
+(forward_features(..., dtype=np.float32)), about twice as fast as the
+float64 stack enhance() runs, with the same shape at every stage.
 """
 
 import numpy as np

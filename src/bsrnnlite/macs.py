@@ -137,6 +137,11 @@ def count_forward(model: Model, noisy: np.ndarray) -> MacsReport:
     ``AudioFormatError``. The mask head and the inverse transform are never
     run: their cost follows from the file's T frames alone.
 
+    A count depends only on array shapes, which do not depend on precision,
+    so the stack runs in float32 (``forward_features(..., dtype=np.float32)``),
+    about twice as fast as ``enhance``'s float64 with the same shape at
+    every probe stage.
+
     A row costs each weight matrix it runs through once. A sublayer core
     costs rows x the sizes of its cells' ``w_input`` and ``w_hidden`` and its
     ``proj_weight``, the rows read from the array its ``*_core`` probe stage
@@ -154,7 +159,7 @@ def count_forward(model: Model, noisy: np.ndarray) -> MacsReport:
             comps[f"{stage[:4]}_rnn[{layer}]"] += rows * (
                 sub.cells.w_input.size + sub.cells.w_hidden.size + sub.proj_weight.size)
 
-    for spec, features in _passes(model, noisy, probe):
+    for spec, features in _passes(model, noisy, probe, dtype=np.float32):
         del spec, features  # priced by the probe; free before the next span runs
     frames = cfg.stft.num_frames(noisy.size)
     comps["band_split"] = frames * sum(b.weight.size for b in w.band_split)

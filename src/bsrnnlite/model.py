@@ -327,7 +327,8 @@ def apply_pruned_time_rnn(x, w: GroupedLayerWeights, skip_count: int, factor: in
     return x
 
 
-def forward_features(model: Model, features: np.ndarray, *, probe=None, state=None) -> np.ndarray:
+def forward_features(model: Model, features: np.ndarray, *, probe=None, state=None,
+                     dtype=np.float64) -> np.ndarray:
     """Run the dual-path layer stack on ``[K x T x N]`` features, T >= 1.
 
     ``probe``, when given, is called as ``probe(stage, layer, array)`` with
@@ -338,18 +339,24 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     pruning. Output shape always equals the input shape, whatever the
     resampling and pruning plans do internally.
 
-    The stack takes one float64 copy of the frames it runs (with PPS, every
-    factor-th one) and every sublayer adds its residual into that copy, so
-    ``features`` is never written, and a probe that keeps an array must copy
-    it. A temporary ``features`` is freed before the first core runs on
-    CPython 3.11+ (only there).
+    The stack takes one copy of the frames it runs (with PPS, every
+    factor-th one) in ``dtype``, ``np.float64`` (the default) or
+    ``np.float32``; any other value raises ``ConfigError``. Every sublayer
+    computes in that dtype, as the kernels compute in their input's, and
+    adds its residual into that copy, so ``features`` is never written, and
+    a probe that keeps an array must copy it. A temporary ``features`` is
+    freed before the first core runs on CPython 3.11+ (only there). Float32
+    gives every stage the same shape as float64, and an output within a
+    bound of float64's (README "Public API").
 
     ``state``, a dict, carries each time RNN's state from call to call:
     empty on the first call, then passed to the call on the frames that
-    follow. Frames split into runs that start on a multiple of every LWR
-    factor (the PPS factor times the layer's) then give the output of one
-    call on all of them.
+    follow, with the same ``dtype``. Frames split into runs that start on a
+    multiple of every LWR factor (the PPS factor times the layer's) then
+    give the output of one call on all of them.
     """
+    if dtype not in (np.float32, np.float64):
+        raise ConfigError(f"dtype must be np.float32 or np.float64, got {dtype!r}")
     cfg = model.config
     features = np.asarray(features)
     shape = features.shape
@@ -365,7 +372,7 @@ def forward_features(model: Model, features: np.ndarray, *, probe=None, state=No
     pps_factor, rows = cfg.plan
     w = model.weights
     state = {} if state is None else state
-    x = np.array(downsample_t(features, pps_factor), dtype=np.float64)
+    x = np.array(downsample_t(features, pps_factor), dtype=dtype)
     del features  # older CPythons hold a call's arguments until it returns
     layers = zip(rows, w.band_layers, w.time_layers, strict=True)
     for layer, ((band_factor, time_factor, skip), bw, tw) in enumerate(layers, start=1):
@@ -414,17 +421,18 @@ def _chunks(config: ModelConfig, frames: int) -> list:
     return [(start, min(start + size, frames)) for start in range(0, frames, size)]
 
 
-def _passes(model: Model, noisy: np.ndarray, probe=None):
+def _passes(model: Model, noisy: np.ndarray, probe=None, dtype=np.float64):
     """``(spec, features)`` per frame span of :func:`_chunks`, made lazily: the
-    span's STFT frames and the stack's output on them (``probe`` passed on), each
-    time RNN's state carried to the next span. A refused length raises here."""
+    span's STFT frames and the stack's output on them (``probe`` and ``dtype``
+    passed on), each time RNN's state carried to the next span. A refused
+    length raises here."""
     cfg, w = model.config, model.weights
     state = {}
 
     def run(span):
         spec = stft(noisy, cfg.stft, frames=span)
         return spec, forward_features(model, band_split(spec, w.band_split, cfg.bands),
-                                      probe=probe, state=state)
+                                      probe=probe, state=state, dtype=dtype)
 
     return map(run, _chunks(cfg, cfg.stft.num_frames(noisy.size)))
 

@@ -6,18 +6,21 @@ in the network is a matmul against a loaded weight matrix, once per row,
 which is how :func:`bsrnnlite.macs.count_forward` prices it.
 
 Gate order along the stacked 4H axis is (input, forget, cell, output) in
-every stored weight. The network computes in float64. A model keeps its
-weights in the dtype they were stored in (float32 from a weights file), and
-the kernels upcast them to float64 at use, which is exact, so every sum is
-as in float64. The recurrent kernel's upcast also reorders the gates to
-(cell, input, forget, output) and halves the three sigmoid gates' rows, so
-that a step runs one ``tanh`` over all gates in place; this is exact too,
-bar subnormal sums (see :func:`lstm_forward_batch`).
+every stored weight. Each kernel computes in its input's dtype: float32
+stays float32, anything else runs in float64. A model keeps its weights in
+the dtype they were stored in (float32 from a weights file); a float64 call
+upcasts them at use, which is exact, so every sum is as in float64, and a
+float32 call reads float32 weights as they are. The recurrent kernel's
+per-call copy also reorders the gates to (cell, input, forget, output) and
+halves the three sigmoid gates' rows, so that a step runs one ``tanh`` over
+all gates in place; this is exact too, bar subnormal values (see
+:func:`lstm_forward_batch`).
 
 Threads: :func:`_split` runs the kernel's batch rows, the first axis of a
 :func:`layer_norm` or :func:`dense` input, and the mask head's bands in
 shares over the CPUs, and an unsplit kernel call projects its next block on
-the pool while it steps, with outputs bitwise those of one thread.
+the pool while it steps. In float64 the outputs are bitwise those of one
+thread; float32 shares make no bitwise claim.
 
 Stacked cell layout: all cells of one RNN sublayer, g groups of one or two
 directions, live in one :class:`LstmWeights` whose arrays carry a leading
@@ -163,14 +166,21 @@ def _share(run, lo, hi):
         _LOCAL.share = False
 
 
+def _compute_dtype(x: np.ndarray):
+    """The dtype a kernel computes ``x`` in: float32 stays float32, anything else is float64."""
+    return np.float32 if x.dtype == np.float32 else np.float64
+
+
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize over the last axis, then apply the affine (gamma, beta).
 
-    The input is split over its first axis (:func:`_split`); every row
-    reduces alone, so shares change no bit.
+    Computes and returns in :func:`_compute_dtype` of ``x``. The input is
+    split over its first axis (:func:`_split`); every row reduces alone, so
+    shares change no bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape)
+    x = np.asarray(x)
+    x = x.astype(_compute_dtype(x), copy=False)
+    out = np.empty(x.shape, x.dtype)
 
     def run(lo, hi):
         part = np.subtract(x[lo:hi], x[lo:hi].mean(axis=-1, keepdims=True), out=out[lo:hi])
@@ -187,21 +197,24 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
 def dense(x, weight, bias):
     """Affine map on the last axis: ``x @ weight.T + bias``, ``weight`` ``[out x in]``.
 
-    The input is split over its first axis (:func:`_split`); each share runs
-    one GEMM of all its rows, flattened to 2-D, on the stored weight's
-    transposed view. A share writes at least :data:`MIN_SHARE_ELEMENTS`
-    outputs, and on one BLAS thread the shares change no bit unless the
-    output is one column wide (README "Threads").
+    Computes and returns in :func:`_compute_dtype` of ``x``: a float64 call
+    upcasts a float32 weight, a float32 call reads it as stored. The input
+    is split over its first axis (:func:`_split`); each share runs one GEMM
+    of all its rows, flattened to 2-D, on the stored weight's transposed
+    view. A share writes at least :data:`MIN_SHARE_ELEMENTS` outputs, and in
+    float64 on one BLAS thread the shares change no bit (README "Threads").
+    A one-column output never splits: numpy runs it as a GEMV, whose row
+    sums depend on where a share starts.
     """
-    weight = weight.astype(np.float64, copy=False).T
-    out = np.empty(x.shape[:-1] + weight.shape[1:])
+    weight = weight.astype(_compute_dtype(x), copy=False).T
+    out = np.empty(x.shape[:-1] + weight.shape[1:], weight.dtype)
 
     def run(lo, hi):
         rows = out[lo:hi].reshape(-1, out.shape[-1])
         np.matmul(x[lo:hi].reshape(-1, x.shape[-1]), weight, out=rows)
         rows += bias
 
-    _split(run, len(x), out.size // MIN_SHARE_ELEMENTS)
+    _split(run, len(x), out.size // MIN_SHARE_ELEMENTS if out.shape[-1] > 1 else 1)
     return out
 
 
@@ -244,12 +257,12 @@ def _cell_layout(width: int, cells: LstmWeights):
 
 
 def _working_order(gates: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``gates`` [..., 4h], stored (i, f, g, o), written to ``out`` in float64 in
+    """``gates`` [..., 4h], stored (i, f, g, o), written to ``out`` in its dtype in
     the kernel's working order (g, i, f, o), the three sigmoid gates' rows halved."""
     h = gates.shape[-1] // 4
     out[..., :h] = gates[..., 2 * h : 3 * h]
-    np.multiply(gates[..., : 2 * h], 0.5, out=out[..., h : 3 * h], dtype=np.float64)
-    np.multiply(gates[..., 3 * h :], 0.5, out=out[..., 3 * h :], dtype=np.float64)
+    np.multiply(gates[..., : 2 * h], 0.5, out=out[..., h : 3 * h], dtype=out.dtype)
+    np.multiply(gates[..., 3 * h :], 0.5, out=out[..., 3 * h :], dtype=out.dtype)
     return out
 
 
@@ -261,21 +274,28 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
     of :data:`PROJECTION_ROWS` rows ahead of the steps that use it; only the
     recurrent matmul runs per step, one for all cells.
 
+    The call computes in :func:`_compute_dtype` of ``seqs``, float32 or
+    float64: its weight copies, its buffers, its output and the carried
+    state are all of that dtype.
+
     ``state``, a list, carries the cells' state from call to call: empty,
     the cells start from zero, as without it; else it holds ``h`` and ``c``,
-    two ``[C x B x h]`` float64 arrays, to start from. The call updates them
-    in place to the state after its last step. A sequence cut in two and run as two
+    two ``[C x B x h]`` arrays of the call's dtype, to start from; another
+    shape or dtype raises ``ConfigError``. The call updates them in place to
+    the state after its last step. A sequence cut in two and run as two
     calls carrying one list gives the rows of one call over the whole.
 
     The weights keep their stored gate order (i, f, g, o). Each call makes
-    float64 copies in the working order (g, i, f, o) with the rows of the
-    three sigmoid gates multiplied by 0.5, so that a step runs one ``tanh``
-    over all 4h gates and turns the last 3h into sigmoids as
+    copies in the call's dtype in the working order (g, i, f, o) with the
+    rows of the three sigmoid gates multiplied by 0.5, so that a step runs
+    one ``tanh`` over all 4h gates and turns the last 3h into sigmoids as
     ``0.5 * tanh(x / 2) + 0.5``, in place. Scaling by a power of two
     commutes with rounding, so every halved sum is exactly half the
     unhalved one, and the output is bitwise that of the stored order with
-    an explicit ``tanh(0.5 * x)``, except where a sum falls into the
-    subnormal range (|x| < 2**-1022), where halving can round. The order
+    an explicit ``tanh(0.5 * x)``, except where a value falls into the
+    subnormal range, where halving can round: a float64 sum under 2**-1022
+    in magnitude, or, in float32, a sum under 2**-126 or a weight under
+    2**-125 (a float32 weight halved in float64 is always exact). The order
     keeps o last: when 4h is not a multiple of 8 (h odd), OpenBLAS sums the
     last 4h mod 8 columns of the recurrent GEMM with another micro-kernel,
     so those columns must stay the stored order's last ones to keep their
@@ -284,29 +304,33 @@ def lstm_forward_batch(seqs: np.ndarray, cells: LstmWeights, *, state=None):
     The rows are independent sequences, split over threads by :func:`_split`
     into shares of at least :data:`MIN_SHARE_ROWS` rows when the cells' gates
     are at least :data:`MIN_SPLIT_GATES` wide and a multiple of 8 wide (h
-    even). On one BLAS thread such a GEMM gives each row the same sums
-    whatever its row count, so the output is bitwise equal to one thread's.
-    A call that stays in one share, made outside any share while a second
-    worker exists, has the pool project each next block while it runs the
-    current block's steps: the same GEMM on another thread, the same bits.
+    even). In float64 on one BLAS thread such a GEMM gives each row the same
+    sums whatever its row count, so the output is bitwise equal to one
+    thread's; the rule was swept in float64 only, and float32 shares make no
+    bitwise claim. A call that stays in one share, made outside any share
+    while a second worker exists, has the pool project each next block while
+    it runs the current block's steps: the same GEMM on another thread, the
+    same bits.
     """
     b, t, width = seqs.shape
     groups, dirs = _cell_layout(width, cells)
     n, i, h = cells.cell_count, cells.input_dim, cells.hidden_dim
+    dtype = _compute_dtype(seqs)
     state = [] if state is None else state
     if not state:
-        state[:] = [np.zeros((n, b, h)) for _ in "hc"]
-    if [part.shape for part in state] != [(n, b, h)] * 2:
-        raise ConfigError(f"state must hold two [{n} x {b} x {h}] arrays, "
-                          f"got {[part.shape for part in state]}")
-    # one upcast per call, into the working order, nothing cached: the loop casts
+        state[:] = [np.zeros((n, b, h), dtype) for _ in "hc"]
+    if [(part.shape, part.dtype) for part in state] != [((n, b, h), dtype)] * 2:
+        raise ConfigError(f"state must hold two [{n} x {b} x {h}] {np.dtype(dtype)} arrays, got "
+                          f"{[f'{part.shape} {part.dtype}' for part in state]}")
+    # one copy per call, into the working order, nothing cached: the loop casts
     # nothing. The recurrent matmul, as few rows as the batch, runs on a row-major
     # copy; the projection's blocks are large and read a transposed one.
-    weights = (_working_order(cells.w_input.swapaxes(1, 2), np.empty((n, 4 * h, i)).swapaxes(1, 2)),
-               _working_order(cells.w_hidden.swapaxes(1, 2), np.empty((n, h, 4 * h))),
-               _working_order(cells.bias[:, None], np.empty((n, 1, 4 * h))))
+    weights = (_working_order(cells.w_input.swapaxes(1, 2),
+                              np.empty((n, 4 * h, i), dtype).swapaxes(1, 2)),
+               _working_order(cells.w_hidden.swapaxes(1, 2), np.empty((n, h, 4 * h), dtype)),
+               _working_order(cells.bias[:, None], np.empty((n, 1, 4 * h), dtype)))
     # [dirs x h x groups] per position is the group-shuffled channel order
-    out = np.empty((b, t, dirs, h, groups))
+    out = np.empty((b, t, dirs, h, groups), dtype)
     block = max(1, PROJECTION_ROWS // max(b, 1))
     shares = _shares(b, b // MIN_SHARE_ROWS if 4 * h >= MIN_SPLIT_GATES and h % 2 == 0 else 1)
     # unsplit, with a second thread free and more than one block: project ahead on it
@@ -327,12 +351,12 @@ def _run_rows(frames, out, weights, block, carry, ahead, lo, hi):
     frames, out = frames[:, lo:hi], out[lo:hi]
     t, rows, groups, i = frames.shape
     n, h, dirs = w_hidden.shape[0], w_hidden.shape[1], out.shape[2]
-    size = min(block, t)
-    xs = np.empty((groups, dirs, size, rows, i))
-    gates_x = np.empty((1 + ahead, n, size, rows, 4, h))
-    hs = np.empty((size, n, rows, h))
+    size, dtype = min(block, t), w_hidden.dtype
+    xs = np.empty((groups, dirs, size, rows, i), dtype)
+    gates_x = np.empty((1 + ahead, n, size, rows, 4, h), dtype)
+    hs = np.empty((size, n, rows, h), dtype)
     # a step adds its gates gate-major into ``major``: each later call runs on one block
-    gates, major = np.empty((n, rows, 4, h)), np.empty((4, n, rows, h))
+    gates, major = np.empty((n, rows, 4, h), dtype), np.empty((4, n, rows, h), dtype)
     flat, into_major = gates.reshape(n, rows, 4 * h), major.transpose(1, 2, 0, 3)
     g_gate, i_gate, f_gate, o_gate = major
     sigmoids = major[1:]

@@ -1,7 +1,6 @@
 """Closed-form analyzer, the instrumented counter, and the variant table."""
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -31,7 +30,8 @@ from bsrnnlite import (
 from bsrnnlite import model as model_mod
 from bsrnnlite.macs import REFERENCE_GPS, analyze_frames, component_order
 
-from util import build_tiny, calibrate_by_analyze, tiny_config
+from test_acceptance import _fuzz_configs
+from util import build_tiny, calibrate_by_analyze, tiny_config, within_float32_bound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -204,9 +204,16 @@ class TestCountInSpans:
         passes = []
         real = model_mod.forward_features
 
-        def record(net, feats, **kw):
-            out = real(net, feats, **kw)
-            passes.append((feats.shape[1], hashlib.sha256(out.tobytes()).hexdigest()))
+        def record(net, feats, *, probe=None, **kw):
+            stages = []
+
+            def seen(stage, layer, array):
+                stages.append((stage, layer, array.shape))
+                if probe is not None:
+                    probe(stage, layer, array)
+
+            out = real(net, feats, probe=seen, **kw)
+            passes.append((feats.shape[1], stages, out.copy()))
             return out
 
         monkeypatch.setattr(model_mod, "forward_features", record)
@@ -219,9 +226,12 @@ class TestCountInSpans:
             enhanced = passes[:]
             passes.clear()
             got = count_forward(model, wave)
-            # the same spans, each stack output bitwise that of enhance's pass
-            assert passes == enhanced
-            assert [t for t, _ in passes] == [hi - lo for lo, hi in model_mod._chunks(cfg, frames)]
+            # the same spans and the same shape at every probe stage; count runs the stack
+            # in float32, enhance in float64
+            assert [p[:2] for p in passes] == [p[:2] for p in enhanced]
+            for (_, _, counted), (_, _, want) in zip(passes, enhanced):
+                assert counted.dtype == np.float32 and within_float32_bound(counted, want)
+            assert [p[0] for p in passes] == [hi - lo for lo, hi in model_mod._chunks(cfg, frames)]
             assert len(passes) == 1 + (frames > 256) + (frames > 512)
             assert got.components == analyze_frames(cfg, frames)
             assert got.duration == wave.size / cfg.stft.sample_rate
@@ -260,6 +270,35 @@ class TestCountInSpans:
         short, long = map(int, done.stdout.split())
         scale = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes there, KiB here
         assert (long - short) / scale < 30
+
+
+#: criterion 1's fuzzed configs, the five presets, pps(4) and sync(4)
+_FLOAT32_PLANS = {
+    **{cfg.name: cfg for cfg in _fuzz_configs()},
+    **{name: _SPAN_PLANS[name] for name in (*preset_names(), "pps4", "sync4")},
+}
+
+
+class TestCountInFloat32:
+    """Count mode runs the stack in float32: the shapes, so the counts, are float64's."""
+
+    @pytest.mark.parametrize("plan", _FLOAT32_PLANS)
+    def test_probe_shapes_match_float64_and_routes_agree(self, plan):
+        cfg = _FLOAT32_PLANS[plan]
+        model = build(cfg, gen_weights(cfg, seed=0))
+        duration = 0.2
+        wave = np.random.default_rng(23).standard_normal(
+            int(duration * cfg.stft.sample_rate)).astype(np.float32) * 0.1
+        stages = {}
+        for dtype in (np.float64, np.float32):
+            seen = stages[dtype] = []
+            for _ in model_mod._passes(model, wave, lambda stage, layer, array: seen.append(
+                    ((stage, layer, array.shape), array.dtype)), dtype=dtype):
+                pass
+        shapes = {dtype: [shape for shape, _ in seen] for dtype, seen in stages.items()}
+        assert shapes[np.float32] == shapes[np.float64]
+        assert {dtype for _, dtype in stages[np.float32]} == {np.dtype(np.float32)}
+        assert count_forward(model, wave).components == analyze(cfg, duration).components
 
 
 class TestCanonicalNumbers:

@@ -38,7 +38,7 @@ from bsrnnlite.rnn import LstmWeights, dense, layer_norm, lstm_forward_batch
 from bsrnnlite.weights_io import load_weights, save_weights
 
 from reference import straight_line_layer
-from util import build_tiny, tiny_config, with_fields
+from util import build_tiny, tiny_config, with_fields, within_float32_bound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -317,6 +317,12 @@ class TestForward:
         # when every frame was copied
         assert _stack_peak("pps4", held=True) <= 3.0
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex64, "float32", None])
+    def test_dtype_other_than_float32_or_float64_refused(self, dtype):
+        _, model = build_tiny()
+        with pytest.raises(ConfigError, match="^dtype must be"):
+            forward_features(model, np.zeros((3, 4, 6)), dtype=dtype)
+
     def test_zero_layers_is_identity(self):
         _, model = build_tiny(num_layers=0)
         x = np.random.default_rng(1).standard_normal((3, 5, 6))
@@ -376,6 +382,46 @@ class TestForward:
         ]
         active = {l: k for s, l, k in events if s == "time_core"}
         assert active == {1: 2, 2: 2}
+
+
+class TestFloat32Stack:
+    """``forward_features(..., dtype=np.float32)``: every stage in float32, near float64."""
+
+    @pytest.mark.parametrize("cfg", _VARIANTS, ids=lambda cfg: cfg.name)
+    def test_within_bound_of_float64_at_one_two_and_three_workers(self, cfg, force_workers):
+        # 11 frames split nothing; at 97 the band RNN, the norms and the projections split
+        model = build(cfg, gen_weights(cfg, seed=0))
+        rng = np.random.default_rng(7)
+        for frames in (11, 97):
+            feats = rng.standard_normal((cfg.num_bands, frames * cfg.plan[0], cfg.feature_dim))
+            want, want_stages = _traced(model, feats, np.float64)
+            for count in (1, 2, 3):
+                force_workers(count)
+                got, stages = _traced(model, feats, np.float32)
+                assert got.dtype == np.float32 and within_float32_bound(got, want)
+                assert [shape for shape, _ in stages] == [shape for shape, _ in want_stages]
+                assert {dtype for _, dtype in stages} == {np.dtype(np.float32)}
+
+    def test_carried_state_follows_the_dtype(self):
+        _, model = build_tiny()
+        feats = np.random.default_rng(8).standard_normal((3, 10, 6))
+        state = {}
+        whole = forward_features(model, feats, dtype=np.float32)
+        parts = [forward_features(model, feats[:, :4], dtype=np.float32, state=state),
+                 forward_features(model, feats[:, 4:], dtype=np.float32, state=state)]
+        assert np.allclose(np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-5)
+        carried = {part.dtype for layer in state.values() for part in layer}
+        assert carried == {np.dtype(np.float32)}
+        with pytest.raises(ConfigError, match="state"):
+            forward_features(model, feats[:, 4:], state=state)  # float64 onto a float32 state
+
+
+def _traced(model, feats, dtype):
+    """The stack's output in ``dtype`` and each probe stage's ``((stage, layer, shape), dtype)``."""
+    stages = []
+    out = forward_features(model, feats, dtype=dtype, probe=lambda stage, layer, array: (
+        stages.append(((stage, layer, array.shape), array.dtype))))
+    return out, stages
 
 
 class TestToggleNeutrality:

@@ -160,6 +160,21 @@ class TestCarriedState:
         with pytest.raises(ConfigError, match="state"):
             lstm_forward_batch(np.zeros((4, 2, 3)), cells, state=[np.zeros((1, 3, 5))] * 2)
 
+    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_state_dtype_checked(self, dtype, other):
+        # the in-place updates would silently mix a state of another dtype into the call's
+        cells = _random_cell(np.random.default_rng(53), 3, 5)
+        seqs = np.zeros((4, 2, 3), dtype)
+        for state in ([np.zeros((1, 4, 5), other) for _ in "hc"],
+                      [np.zeros((1, 4, 5), dtype), np.zeros((1, 4, 5), other)]):
+            before = [part.copy() for part in state]
+            with pytest.raises(ConfigError, match="state"):
+                lstm_forward_batch(seqs, cells, state=state)
+            assert all(np.array_equal(a, b) for a, b in zip(state, before))
+        state = []
+        lstm_forward_batch(seqs, cells, state=state)
+        assert [part.dtype for part in state] == [np.dtype(dtype)] * 2
+
     def test_split_at_every_frame_bitwise_on_one_blas_thread(self):
         # a subprocess, so the BLAS starts pinned to one thread whatever this process runs.
         # Shapes: a canonical time RNN (23 bands, h 72), its two-group form, and a
@@ -612,6 +627,19 @@ class TestHelperSplit:
         if frames == 91:
             assert {7, 8} <= sizes
 
+    def test_one_column_dense_never_splits(self, force_workers, split_shares):
+        # numpy runs a one-column output as a GEMV, whose row sums depend on where a share
+        # starts: split in three, these rows changed bytes on one OpenBLAS 0.3.31 thread
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((5 * 2**16, 8))
+        w, b = rng.standard_normal((1, 8)).astype(np.float32), rng.standard_normal(1)
+        force_workers(1)
+        want = dense(x, w, b).tobytes()
+        for count in (2, 3):
+            force_workers(count)
+            assert dense(x, w, b).tobytes() == want
+        assert split_shares == []
+
     def test_split_inside_a_share_runs_inline(self, force_workers, split_shares):
         # with two workers the pool has one thread: a share that waited on a nested split
         # could wait for itself
@@ -634,6 +662,49 @@ class TestHelperSplit:
         assert not caller.is_alive(), "a nested split waited on the pool"
         assert sorted(split_shares) == [(0, 1), (1, 2)]  # the two outer shares, nothing nested
         assert got[0][0] != got[1][0] and {got[0][1], got[1][1]} == {want}
+
+
+class TestComputeDtype:
+    """Each kernel computes in its input's dtype: float32 stays float32, else float64."""
+
+    @staticmethod
+    def _calls(rng):
+        gamma, beta = rng.standard_normal((2, 12)).astype(np.float32)
+        w, b = rng.uniform(-0.3, 0.3, (7, 12)).astype(np.float32), rng.standard_normal(7)
+        cell = _random_cell(rng, 6, 8, cells=4)  # two groups, both directions
+        cells = LstmWeights(*(a.astype(np.float32)
+                              for a in (cell.w_input, cell.w_hidden, cell.bias)))
+        return (lambda x: layer_norm(x, gamma, beta), lambda x: dense(x, w, b),
+                lambda x: lstm_forward_batch(x, cells))
+
+    @pytest.mark.parametrize("dtype, computed", [(np.float32, np.float32), (np.float64, np.float64),
+                                                 (np.float16, np.float64), (np.int32, np.float64)])
+    def test_output_dtype(self, dtype, computed):
+        rng = np.random.default_rng(60)
+        x = (rng.standard_normal((5, 9, 12)) * 4).astype(dtype)
+        for call in self._calls(rng):
+            got = call(x)
+            assert got.dtype == computed
+            # anything but float32 runs exactly as its float64 cast
+            if computed == np.float64:
+                assert got.tobytes() == call(x.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_float32_close_to_float64_at_one_two_and_three_workers(self, workers, force_workers):
+        # 96 rows, gates 32 wide: the kernel, the norm and the projection split at 2 and 3
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((96, 700, 12)).astype(np.float32)
+        force_workers(workers)
+        for call in self._calls(rng):
+            got, want = call(x), call(x.astype(np.float64))
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    def test_float32_dense_reads_the_stored_weight(self):
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((4, 6, 12)).astype(np.float32)
+        w, b = (rng.standard_normal(shape).astype(np.float32) for shape in ((7, 12), 7))
+        want = (x.reshape(-1, 12) @ w.T + b).reshape(4, 6, 7)
+        assert dense(x, w, b).tobytes() == want.tobytes()
 
 
 class TestPointwise:
