@@ -45,9 +45,12 @@ EXIT_USAGE = 64
 BENCH_SECONDS = 3600.0
 
 
-def _load_model(config_spec: str, weights_path: str):
-    config = configio.load_config(config_spec)
-    arrays, _meta = weights_io.load_weights(weights_path)
+def _load_model(config, weights_path: str | None):
+    """The model of ``config`` on a ``.bsrw`` file's weights, or on seeded ones for ``None``."""
+    if weights_path is None:
+        arrays = weights_io.gen_weights(config, seed=0)
+    else:
+        arrays, _meta = weights_io.load_weights(weights_path)
     return build(config, arrays)
 
 
@@ -104,20 +107,20 @@ def _refuse_clobber(targets, args) -> None:
 
 def cmd_enhance(args) -> int:
     src, dst = Path(args.input), Path(args.output)
-    wavs = sorted(src.glob("*.wav")) if src.is_dir() else None
-    _refuse_clobber([dst] if wavs is None else [dst / wav.name for wav in wavs], args)
-    net = _load_model(args.config, args.weights)
+    folder = src.is_dir()
+    # (input, output, status label) per file: the refusal checks exactly what is written
+    jobs = ([(wav, dst / wav.name, wav.name) for wav in sorted(src.glob("*.wav"))] if folder
+            else [(src, dst, dst)])
+    _refuse_clobber([target for _, target, _ in jobs], args)
+    net = _load_model(configio.load_config(args.config), args.weights)
     oa = None if args.oa is None else OaConfig(args.oa)
-    if wavs is not None:
-        if not wavs:
-            raise AudioFormatError(f"no wav files in {src}")
+    if not jobs:
+        raise AudioFormatError(f"no wav files in {src}")
+    if folder:
         dst.mkdir(parents=True, exist_ok=True)
-        for wav in wavs:
-            _enhance_one(net, wav, dst / wav.name, oa)
-            print(f"{wav.name}: ok", file=sys.stderr)
-    else:
-        _enhance_one(net, src, dst, oa)
-        print(f"{dst}: ok", file=sys.stderr)
+    for wav, target, label in jobs:
+        _enhance_one(net, wav, target, oa)
+        print(f"{label}: ok", file=sys.stderr)
     return EXIT_OK
 
 
@@ -141,19 +144,18 @@ def cmd_analyze(args) -> int:
 
 
 def _variant_list(args):
-    if args.variants is None:
-        base, variants = macs.canonical_chain(extended=args.extended)
-        if args.base is not None:
-            base = configio.load_config(args.base)
-        return base, variants
-    base = configio.load_config(args.base) if args.base else macs.canonical_chain()[0]
-    vdir = Path(args.variants)
-    if not vdir.is_dir():
-        raise ConfigError(f"--variants {vdir} is not a directory")
-    files = sorted(vdir.glob("*.json"))
-    if not files:
-        raise ConfigError(f"no *.json configs in {vdir}")
-    return base, [(f.stem, configio.load_config(f)) for f in files]
+    base, variants = macs.canonical_chain(extended=args.extended)
+    if args.base is not None:
+        base = configio.load_config(args.base)
+    if args.variants is not None:
+        vdir = Path(args.variants)
+        if not vdir.is_dir():
+            raise ConfigError(f"--variants {vdir} is not a directory")
+        files = sorted(vdir.glob("*.json"))
+        if not files:
+            raise ConfigError(f"no *.json configs in {vdir}")
+        variants = [(f.stem, configio.load_config(f)) for f in files]
+    return base, variants
 
 
 def cmd_table(args) -> int:
@@ -187,11 +189,7 @@ def cmd_bench(args) -> int:
     report = macs.analyze(config, args.seconds)  # also rejects a duration under one sample
     if args.seconds > BENCH_SECONDS:
         raise ConfigError(f"--seconds must be at most {BENCH_SECONDS:g}, got {args.seconds:g}")
-    if args.weights is not None:
-        arrays, _meta = weights_io.load_weights(args.weights)
-    else:
-        arrays = weights_io.gen_weights(config, seed=0)
-    net = build(config, arrays)
+    net = _load_model(config, args.weights)
 
     rng = np.random.default_rng(0)
     n = int(round(args.seconds * config.stft.sample_rate))
@@ -230,15 +228,9 @@ def _peak_rss() -> str:
 
 
 def cmd_calibrate(args) -> int:
-    results = macs.calibrate_feature_dims(
-        target_base=args.target_base,
-        target_grouped=args.target_grouped,
-        group=args.group,
-        dim_min=args.dim_min,
-        dim_max=args.dim_max,
-        step=args.step,
-        top=args.top,
-    )
+    # only the flags given: calibrate_feature_dims states the defaults
+    given = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    results = macs.calibrate_feature_dims(**given)
     print("feature_dim  hidden_dim  base_gps  grouped_gps  residual")
     for r in results:
         print(
@@ -310,14 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=3)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("calibrate", help="fit feature/hidden dims to the cost targets")
-    p.add_argument("--target-base", type=float, default=macs.REFERENCE_GPS["BSRNN"])
-    p.add_argument("--target-grouped", type=float, default=macs.REFERENCE_GPS["+GR"])
-    p.add_argument("--group", type=int, default=2)
-    p.add_argument("--dim-min", type=int, default=8)
-    p.add_argument("--dim-max", type=int, default=240)
-    p.add_argument("--step", type=int, default=2)
-    p.add_argument("--top", type=int, default=5)
+    p = sub.add_parser("calibrate", help="fit feature/hidden dims to the cost targets",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--target-base", type=float)
+    p.add_argument("--target-grouped", type=float)
+    for flag in ("--group", "--dim-min", "--dim-max", "--step", "--top"):
+        p.add_argument(flag, type=int)
     p.set_defaults(func=cmd_calibrate)
     return parser
 

@@ -36,7 +36,7 @@ from .bands import (
 from .dsp import IstftTail, OaConfig, StftConfig, istft, mono_signal, observation_add, stft
 from .errors import ConfigError, WeightsFormatError
 from .prune import SbpStrategy, prune_schedule
-from .resample import LwrStrategy, add_held, downsample_t, plan_resampling, upsample_t
+from .resample import LwrStrategy, add_held, downsample_t, plan_resampling, reduced_frames, upsample_t
 from .rnn import GroupedLayerWeights, LstmWeights, dense, layer_norm
 
 #: calibrated reference dims (see macs.calibrate_feature_dims)
@@ -264,7 +264,7 @@ def build(config: ModelConfig, arrays: Mapping) -> Model:
         a = np.asarray(arrays[name])
         if a.shape != shape:
             raise WeightsFormatError(f"tensor {name} has shape {a.shape}, expected {shape}")
-        a = a.astype(np.float32 if a.dtype == np.float32 else np.float64)
+        a = a.astype(rnn._compute_dtype(a))
         if not np.isfinite(a).all():
             raise WeightsFormatError(f"tensor {name} holds non-finite values")
         return a
@@ -416,8 +416,8 @@ def _chunks(config: ModelConfig, frames: int) -> list:
     pps_factor, rows = config.plan
     unit = pps_factor * max((max(b, t) for b, t, _ in rows), default=1)
     limit = max(CHUNK_FRAMES // unit, 1) * unit
-    count = -(-frames // limit)
-    size = -(-(-(-frames // count)) // unit) * unit  # ceil(frames / count), rounded up to units
+    count = reduced_frames(frames, limit)
+    size = reduced_frames(reduced_frames(frames, count), unit) * unit  # rounded up to units
     return [(start, min(start + size, frames)) for start in range(0, frames, size)]
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from bsrnnlite import canonical_config, cli, expected_tensors, load_weights, model, rnn
+from bsrnnlite import calibrate_feature_dims, canonical_config, cli, expected_tensors
+from bsrnnlite import load_weights, model, rnn
 from bsrnnlite import save_config, wavio
 from bsrnnlite.configio import config_to_dict
 from bsrnnlite.cli import (
@@ -125,6 +126,18 @@ class TestTable:
         (tmp_path / "empty").mkdir()
         assert main(["table", "--variants", str(tmp_path / "empty")]) == EXIT_CONFIG
         assert "error: config:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variants", [False, True])
+    def test_empty_base_is_read_alike_with_or_without_variants(self, variants, tmp_path, capsys):
+        # "--base=" names the path "" (the working directory) with or without --variants; it is
+        # never taken as "no --base", which would price the variants against the canonical baseline
+        vdir = tmp_path / "variants"
+        vdir.mkdir()
+        save_config(canonical_config().with_groups(2), vdir / "grouped.json")
+        rows = ["--variants", str(vdir)] if variants else []
+        assert main(["table", *rows, "--base="]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: io: "), err
 
 
 class TestGenWeights:
@@ -534,3 +547,22 @@ class TestBenchAndCalibrate:
                      "--step", "2", "--top", "3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.strip().splitlines()[-1] == "best: feature_dim=126 hidden_dim=72"
+
+    @pytest.mark.parametrize("kwargs", [
+        {"target_base": 1.2, "target_grouped": 0.5, "group": 3, "dim_min": 9, "dim_max": 90,
+         "step": 3, "top": 7},
+        {"target_base": 1.5, "target_grouped": 0.9, "group": 2, "dim_min": 10, "dim_max": 80,
+         "step": 4, "top": 6},  # no two flags alike, so a swap shows too
+    ])
+    def test_calibrate_passes_every_flag_through(self, kwargs, capsys):
+        # each flag reaches its own keyword: a swapped or dropped flag changes the rows
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in kwargs.items()]
+        assert main(["calibrate", *argv]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        results = calibrate_feature_dims(**kwargs)
+        assert len(results) == kwargs["top"]
+        assert [line.split() for line in lines[1:-1]] == [
+            [str(r.feature_dim), str(r.hidden_dim), f"{r.base_gps:.4f}", f"{r.grouped_gps:.4f}",
+             f"{r.residual:.4f}"] for r in results]
+        assert lines[-1] == (f"best: feature_dim={results[0].feature_dim} "
+                             f"hidden_dim={results[0].hidden_dim}")
