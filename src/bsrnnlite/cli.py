@@ -9,8 +9,9 @@ Subcommands:
     calibrate    grid-search feature/hidden dims against the cost targets
 
 Exit codes: 0 success, 1 internal error, 2 audio format, 3 weights
-format, 4 configuration, 5 file I/O, 64 usage. Diagnostics are a single
-``error: <category>: <message>`` line on stderr.
+format, 4 configuration, 5 file I/O, 64 usage. A failure is one
+``error: <category>: <message>`` line on stderr, its category and code from
+the table ``_FAILURES``; ``_say`` writes it and every status line as one line.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def cmd_enhance(args) -> int:
         dst.mkdir(parents=True, exist_ok=True)
     for wav, target, label in jobs:
         _enhance_one(net, wav, target, oa)
-        print(f"{label}: ok", file=sys.stderr)
+        _say(f"{label}: ok")
     return EXIT_OK
 
 
@@ -177,8 +178,7 @@ def cmd_gen_weights(args) -> int:
     meta = {"config_name": config.name, "seed": args.seed}
     _write_replacing(args.output, lambda path: weights_io.save_weights(path, arrays, meta))
     total = sum(a.size for a in arrays.values())
-    print(f"{args.output}: {len(arrays)} tensors, {total} parameters, seed {args.seed}",
-          file=sys.stderr)
+    _say(f"{args.output}: {len(arrays)} tensors, {total} parameters, seed {args.seed}")
     return EXIT_OK
 
 
@@ -312,31 +312,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (exception class, category, exit code) of each failure: the first row that matches wins,
+#: and the last matches any fault, so the one-line contract always holds
+_FAILURES = ((_UsageError, "usage", EXIT_USAGE), (AudioFormatError, "audio", EXIT_AUDIO),
+             (WeightsFormatError, "weights", EXIT_WEIGHTS), (ConfigError, "config", EXIT_CONFIG),
+             (OSError, "io", EXIT_IO), (Exception, "internal", EXIT_INTERNAL))
+
+
+def _say(text: str) -> None:
+    """Write ``text`` to stderr as one line, each run of whitespace (line breaks too) one space."""
+    print(" ".join(text.split()), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # only --help exits, after printing its synopsis
         return exc.code
-    except _UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AudioFormatError as exc:
-        print(f"error: audio: {exc}", file=sys.stderr)
-        return EXIT_AUDIO
-    except WeightsFormatError as exc:
-        print(f"error: weights: {exc}", file=sys.stderr)
-        return EXIT_WEIGHTS
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Exception as exc:  # last resort: the one-line contract holds for any fault
-        message = " ".join(str(exc).split())
-        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        kind, category, code = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        message = f"{type(exc).__name__}: {exc}" if kind is Exception else exc
+        _say(f"error: {category}: {message}")
+        return code
 
 
 def entry() -> None:

@@ -24,9 +24,10 @@ The document mirrors ModelConfig field by field:
 
 Every field except "stft", "bands", "feature_dim", "hidden_dim", and
 "num_layers" may be omitted and takes the ModelConfig default. Parsing is
-strict: an unknown key at any level is an error, and each field must have
-exactly the JSON type shown (``true``/``false`` for the two flags; integers,
-never booleans, for dims, factors, counts, layer lists and band bounds).
+strict: an unknown or repeated key at any level is an error, and each field
+must have exactly the JSON type shown (``true``/``false`` for the two flags;
+integers, never booleans, for dims, factors, counts, layer lists and band
+bounds).
 """
 
 from __future__ import annotations
@@ -120,6 +121,16 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ModelConfig:
     return ModelConfig(stft=stft, bands=BandConfig(tuple(bounds)), **top)
 
 
+def unique_keys(pairs: list) -> dict:
+    """``json`` object hook: the object of ``pairs``, refusing a key given twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(spec: str | Path) -> ModelConfig:
     """Resolve a preset name or read a JSON config file."""
     if isinstance(spec, str) and spec in preset_names():
@@ -130,8 +141,8 @@ def load_config(spec: str | Path) -> ModelConfig:
             f"{spec!r} is neither a preset ({', '.join(preset_names())}) nor a file"
         )
     try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        doc = json.loads(path.read_text(), object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or a key repeated
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(doc, source=str(path))
 

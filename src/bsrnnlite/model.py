@@ -245,12 +245,12 @@ def build(config: ModelConfig, arrays: Mapping) -> Model:
     """Assemble a runnable model from a flat name -> array mapping.
 
     Every expected tensor must be present with the expected shape and
-    finite values; unknown names are rejected. Each array is copied, so the
-    model shares no buffer with ``arrays``. A float32 array stays float32,
-    the dtype ``.bsrw`` stores, and the kernels upcast it exactly at use;
-    any other dtype is upcast to float64 here. Each sublayer's cells are
-    stacked in the layout's (group, direction) order, the order the kernel
-    expects.
+    finite real values (a bool, integer or float dtype); unknown names are
+    rejected. Each array is copied, so the model shares no buffer with
+    ``arrays``. A float32 array stays float32, the dtype ``.bsrw`` stores,
+    and the kernels upcast it exactly at use; any other dtype is upcast to
+    float64 here. Each sublayer's cells are stacked in the layout's (group,
+    direction) order, the order the kernel expects.
     """
     expected = expected_tensors(config)
     for name in expected:
@@ -262,6 +262,8 @@ def build(config: ModelConfig, arrays: Mapping) -> Model:
 
     def take(name, shape):
         a = np.asarray(arrays[name])
+        if a.dtype.kind not in "biuf":
+            raise WeightsFormatError(f"tensor {name} has dtype {a.dtype}, not real numbers")
         if a.shape != shape:
             raise WeightsFormatError(f"tensor {name} has shape {a.shape}, expected {shape}")
         a = a.astype(rnn._compute_dtype(a))

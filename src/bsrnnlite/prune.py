@@ -37,7 +37,8 @@ class SbpStrategy:
         if self.skip_bands is not None:
             if self.kind != "aggressive":
                 raise ConfigError(f"skip_bands only applies to aggressive, not {self.kind!r}")
-            if not isinstance(self.skip_bands, int) or self.skip_bands < 0:
+            if (not isinstance(self.skip_bands, int) or isinstance(self.skip_bands, bool)
+                    or self.skip_bands < 0):
                 raise ConfigError(f"skip_bands must be a non-negative integer, got {self.skip_bands}")
 
     @classmethod

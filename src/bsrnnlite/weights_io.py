@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configio import unique_keys
 from .errors import ConfigError, WeightsFormatError
 from .model import ModelConfig, expected_tensors
 
@@ -113,9 +114,9 @@ def load_weights(path: str | Path):
     """Read a BSRW file back into ``(arrays, meta)``.
 
     Arrays come back float32 in manifest order, as read-only views of the
-    bytes read. Structural problems (magic, version, malformed entries,
-    dtype, offsets out of range or misaligned, bytes past the last tensor)
-    raise WeightsFormatError;
+    bytes read. Structural problems (magic, version, a header that is not
+    JSON or repeats a key, malformed entries, dtype, offsets out of range or
+    misaligned, bytes past the last tensor) raise WeightsFormatError;
     whether the tensor *set* matches a config is the model builder's concern.
     """
     raw = Path(path).read_bytes()  # OSError (IsADirectoryError for a directory) passes through
@@ -128,8 +129,8 @@ def load_weights(path: str | Path):
     if 16 + header_len > len(raw):
         raise WeightsFormatError("header length exceeds file size")
     try:
-        doc = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        doc = json.loads(raw[16 : 16 + header_len].decode("utf-8"), object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or a key repeated
         raise WeightsFormatError(f"corrupt header: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("tensors"), dict):
         raise WeightsFormatError("header missing tensor manifest")

@@ -222,6 +222,18 @@ class TestRoundTrip:
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg and back.plan == cfg.plan
 
+    @pytest.mark.parametrize("make", [
+        lambda value: canonical_config().with_resample(LwrStrategy.pps(value)),
+        lambda value: canonical_config().with_prune(SbpStrategy.aggressive(value)),
+        lambda value: canonical_config().with_resample(LwrStrategy.sync(2, (value,))),
+    ], ids=["pps-factor", "aggressive-skip-bands", "sync-target-layers"])
+    def test_bool_strategy_field_refused_so_saved_configs_load(self, make, tmp_path):
+        # True passed as 1 and was saved as ``true``, which load_config refuses
+        with pytest.raises(ConfigError, match="integer"):
+            make(True)
+        save_config(make(1), tmp_path / "c.json")
+        assert load_config(tmp_path / "c.json") == make(1)
+
     def test_equal_plans_make_equal_strategies(self):
         assert LwrStrategy("none", 5) == LwrStrategy.none() == LwrStrategy()
         assert LwrStrategy("sync", 2, (3, 1)) == LwrStrategy.sync(2, (1, 3))
@@ -251,6 +263,19 @@ class TestResolution:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('{', '{"feature_dim": 64, ', "feature_dim"),
+        ('"stft": {', '"stft": {"hop_size": 4, ', "hop_size"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_refused(self, old, new, key, tmp_path, capsys):
+        # the last copy won: a file repeating "feature_dim" loaded with the later value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config_to_dict(tiny_config())).replace(old, new, 1))
+        with pytest.raises(ConfigError, match=f"invalid JSON: repeated key '{key}'"):
+            load_config(path)
+        assert main(["analyze", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {path}: invalid JSON: repeated key '{key}'\n"
 
 
 class TestParsing:

@@ -7,8 +7,10 @@ is either empty (exit 0, bar the status line of an ``enhance`` or a
 ``gen-weights``, which goes to stderr) or exactly one
 ``error: <category>: <message>`` line whose category matches the code.
 Every warning counts as shown on stderr, so a warning breaks the
-one-line rule. A flags run also writes no file but the command's output,
-and never the command's own config or weights.
+one-line rule, and lines are counted by ``str.splitlines``, so a path or a
+tensor name holding any line break it knows must not split a line. A flags
+run also writes no file but the command's output, and never the command's
+own config or weights.
 """
 
 import contextlib
@@ -41,6 +43,7 @@ CONFIG_DOC = config_to_dict(CONFIG)
 CONFIG_RAW = json.dumps(CONFIG_DOC).encode()
 WEIGHTS = gen_weights(CONFIG, seed=0)
 WAV_HEADER = 44  # RIFF, fmt and data chunk headers of a plain pcm16 file
+LINE_BREAKS = ("\n", "\r", "\u2028")  # str.splitlines splits at each
 
 
 def _paths(doc, prefix=()):
@@ -171,22 +174,40 @@ def _poisoned(raw: bytes, name: str, value: float) -> bytes:
     return raw[:pos] + np.float32(value).tobytes() + raw[pos + 4 :]
 
 
+def _renamed(root, name: str, line_break: str) -> bytes:
+    """A weights file with tensor ``name`` stored, in its place, as ``evil<line_break>name``."""
+    path = root / "renamed.bsrw"
+    save_weights(path, {f"evil{line_break}name" if key == name else key: value
+                        for key, value in WEIGHTS.items()})
+    return path.read_bytes()
+
+
+FIRST = next(iter(WEIGHTS))  # the first tensor in the manifest
+with tempfile.TemporaryDirectory() as _tmp:
+    #: where the first tensor's dtype, ``"f32"``, holds its "3" once that tensor is renamed
+    RENAMED_DTYPE = _renamed(Path(_tmp), FIRST, "\n").index(b'"f32"') + 2
+
+
 @PROPERTY
 @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
        cut=st.none() | st.integers(0, 400),
        poison=st.none() | st.tuples(st.sampled_from(sorted(WEIGHTS)),
                                     st.sampled_from([np.nan, np.inf, -np.inf])),
-       appended=st.binary(max_size=65))
-@example(edits=[], cut=None, poison=("band_split.band00.norm.gamma", np.nan), appended=b"")
-@example(edits=[], cut=None, poison=None, appended=b"\0")  # loaded without a word
-def test_mutated_weights_file(files, edits, cut, poison, appended):
-    raw = (files / "weights.bsrw").read_bytes()
-    if poison is not None:
+       appended=st.binary(max_size=65),
+       renamed=st.none() | st.tuples(st.sampled_from(sorted(WEIGHTS)), st.sampled_from(LINE_BREAKS)))
+@example(edits=[], cut=None, poison=("band_split.band00.norm.gamma", np.nan), appended=b"",
+         renamed=None)
+@example(edits=[], cut=None, poison=None, appended=b"\0", renamed=None)  # loaded without a word
+@example(edits=[(RENAMED_DTYPE, ord("6"))], cut=None, poison=None, appended=b"",
+         renamed=(FIRST, "\n"))  # "f62", reported with the name: two lines
+def test_mutated_weights_file(files, edits, cut, poison, appended, renamed):
+    raw = (files / "weights.bsrw").read_bytes() if renamed is None else _renamed(files, *renamed)
+    if poison is not None and (renamed is None or poison[0] != renamed[0]):
         raw = _poisoned(raw, *poison)
     (files / "mutated.bsrw").write_bytes(_edited(raw, edits, cut) + appended)
     code, stderr = _enhance(files, weights="mutated.bsrw")
     _assert_contract(code, stderr, {cli.EXIT_OK, cli.EXIT_WEIGHTS})
-    if poison is not None or appended and cut is None:
+    if poison is not None or renamed is not None or appended and cut is None:
         assert code == cli.EXIT_WEIGHTS
 
 
@@ -230,7 +251,8 @@ def test_mutated_wav_file(files, edits, cut):
 
 
 ODD = ("nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e300", "-1", "abc", "")
-PATHS = ("missing", "dir", "empty", "notes.txt", "config.json", "weights.bsrw", "noisy.wav")
+PATHS = ("missing", "dir", "empty", "notes.txt", "config.json", "weights.bsrw", "noisy.wav",
+         *(f"line{line_break}break" for line_break in LINE_BREAKS))
 SWITCH = None
 #: each subcommand's flags: a switch, or a valid value and the values a flag draws beside it.
 #: Accepted work stays tiny: ``bench`` runs at most 2 x 0.05 s, and ``calibrate`` a grid no
@@ -300,6 +322,10 @@ def _values(argv, flags):
 @example(argv=["enhance", "--config", "config.json", "--weights", "weights.bsrw",
                "--in", "noisy.wav", "--out", "weights.bsrw"])  # wrote a wav over the weights
 @example(argv=["gen-weights", "--config", "config.json", "--output", "config.json"])
+@example(argv=["table", "--variants", "line\nbreak"])  # the message held the line break
+@example(argv=["gen-weights", "--config", "config.json", "--output", "line\u2028break"])
+@example(argv=["enhance", "--config", "config.json", "--weights", "weights.bsrw",
+               "--in", "noisy.wav", "--out", "line\rbreak"])  # the status line held it
 def test_flags(files, argv):
     # no file but the command's output is ever written, and never its config or weights
     with tempfile.TemporaryDirectory() as tmp:
@@ -321,6 +347,7 @@ def test_flags(files, argv):
         inputs = {root / value for value in _values(argv, {"--config", "--weights"})}
         assert written <= {root / value for value in _values(argv, OUTPUT)} - inputs, argv
     if code == cli.EXIT_OK and argv[0] in ("enhance", "gen-weights"):
-        status, _, stderr = stderr.partition("\n")
-        assert status.startswith(f"{cli.build_parser().parse_args(argv).output}: "), status
+        status, _, stderr = stderr.partition("\n")  # the output path on one line
+        output = " ".join(cli.build_parser().parse_args(argv).output.split())
+        assert status.startswith(f"{output}: "), status
     _assert_contract(code, stderr, set(CATEGORY) | {cli.EXIT_OK})

@@ -148,6 +148,16 @@ class TestWeightsAssembly:
         with pytest.raises(WeightsFormatError, match="layer9.ghost"):
             build(cfg, arrays)
 
+    @pytest.mark.parametrize("kind", [complex, str, object])
+    def test_non_real_array_refused(self, kind):
+        # a complex tensor lost its imaginary part with only a ComplexWarning, and a
+        # string or object tensor was parsed as numbers
+        cfg = tiny_config()
+        arrays = gen_weights(cfg)
+        arrays["layer1.band.proj.bias"] = arrays["layer1.band.proj.bias"].astype(kind)
+        with pytest.raises(WeightsFormatError, match="tensor layer1.band.proj.bias has dtype"):
+            build(cfg, arrays)
+
     def test_build_refuses_structured_weights(self):
         # assembled weights carry no tensor names to check against a config (here the
         # ungrouped ones under a grouped config), so build takes only the flat mapping

@@ -9,6 +9,7 @@ import pytest
 
 from bsrnnlite import WeightsFormatError, build, canonical_config, expected_tensors, gen_weights
 from bsrnnlite import load_weights, save_weights
+from bsrnnlite.cli import EXIT_WEIGHTS, main
 from bsrnnlite.weights_io import ALIGNMENT, MAGIC, VERSION, _splitmix64, _uniform_block
 
 from reference import splitmix64_sequential
@@ -193,6 +194,23 @@ class TestContainer:
         else:
             with pytest.raises(WeightsFormatError, match="past end"):
                 load_weights(path)
+
+    @pytest.mark.parametrize("header, key", [
+        (b'{"tensors": {"w": {"shape": [2], "dtype": "f32", "offset": 0}, '
+         b'"w": {"shape": [2], "dtype": "f32", "offset": 0}}}', "w"),
+        (b'{"tensors": {"w": {"shape": [2], "dtype": "f32", "offset": 0, "offset": 0}}}', "offset"),
+    ], ids=["tensor-name", "entry-field"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, header, key):
+        # the last copy won, so a manifest could name one tensor twice
+        path = tmp_path / "x.bsrw"
+        payload_base = -(-(16 + len(header)) // ALIGNMENT) * ALIGNMENT
+        path.write_bytes(MAGIC + np.uint32(1).tobytes() + np.uint64(len(header)).tobytes()
+                         + header.ljust(payload_base - 16, b"\0") + b"\0" * 8)  # w's 8 bytes
+        with pytest.raises(WeightsFormatError, match=f"corrupt header: repeated key '{key}'"):
+            load_weights(path)
+        argv = ["bench", "--config", "canonical-v1", "--weights", str(path), "--seconds", "0.05"]
+        assert main(argv) == EXIT_WEIGHTS
+        assert capsys.readouterr().err == f"error: weights: corrupt header: repeated key '{key}'\n"
 
     def test_misaligned_offset_rejected(self, tmp_path):
         path = tmp_path / "x.bsrw"
