@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rnn
-from .errors import ConfigError
+from .errors import ConfigError, typed
 from .rnn import dense, layer_norm
 
 #: widths of the canonical 23-band layout for 257 rfft bins: fine resolution
@@ -27,21 +27,25 @@ CANONICAL_WIDTHS = (4,) * 10 + (8,) * 8 + (24,) * 4
 class BandConfig:
     """Contiguous, ordered sub-band boundaries ``((start, end), ...)``.
 
-    Ends are exclusive. The first band starts at bin 0; each band starts
-    where the previous one ends. Coverage of a concrete bin count is
-    checked separately by :meth:`validate_for_bins` since the layout alone
-    does not know the transform size.
+    A tuple of ``(start, end)`` int tuples; ends are exclusive. The first
+    band starts at bin 0; each band starts where the previous one ends.
+    Coverage of a concrete bin count is checked separately by
+    :meth:`validate_for_bins` since the layout alone does not know the
+    transform size.
     """
 
     boundaries: tuple
 
     def __post_init__(self) -> None:
-        bs = self.boundaries
+        bs = typed(self.boundaries, tuple, "boundaries")
         if not bs:
             raise ConfigError("at least one band required")
-        if bs[0][0] != 0:
-            raise ConfigError(f"first band must start at bin 0, got {bs[0][0]}")
-        for k, (start, end) in enumerate(bs):
+        for k, pair in enumerate(bs):
+            if len(typed(pair, tuple, f"band {k}")) != 2:
+                raise ConfigError(f"band {k} must be a (start, end) pair, got {pair!r}")
+            start, end = (typed(b, int, f"band {k} bound") for b in pair)
+            if k == 0 and start != 0:
+                raise ConfigError(f"first band must start at bin 0, got {start}")
             if start >= end:
                 raise ConfigError(f"band {k} is empty or inverted: ({start}, {end})")
             if k > 0 and bs[k - 1][1] != start:

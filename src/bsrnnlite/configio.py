@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .bands import BandConfig
 from .dsp import StftConfig
-from .errors import ConfigError
+from .errors import ConfigError, typed
 from .model import ModelConfig, preset_config, preset_names
 from .prune import SbpStrategy
 from .resample import LwrStrategy
@@ -71,10 +71,9 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def _typed(value, kind, path: str, source: str):
-    """``value`` if it has exactly the JSON type ``kind`` (a bool is not an int)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{source}: field {path!r} must be {kind.__name__}, got {value!r}")
-    return value
+    """``value`` if its type is exactly ``kind`` (:func:`errors.typed`), else an error naming
+    ``source`` and the field's path in the document."""
+    return typed(value, kind, f"{source}: field {path!r}")
 
 
 def _fields(doc, spec: dict, required: tuple, path: str, source: str) -> dict:

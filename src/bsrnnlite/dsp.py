@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AudioFormatError, ConfigError
+from .errors import AudioFormatError, ConfigError, typed
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,11 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self) -> None:
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        n = self.fft_size
-        if n < 2 or (n & (n - 1)) != 0:
+        typed(self.sample_rate, int, "sample_rate", 1)
+        n = typed(self.fft_size, int, "fft_size", 2)
+        if n & (n - 1):
             raise ConfigError(f"fft_size must be a power of two >= 2, got {n}")
-        if not 1 <= self.hop_size <= n // 2:
-            raise ConfigError(
-                f"hop_size must be in [1, fft_size/2], got {self.hop_size} for fft_size {n}"
-            )
+        typed(self.hop_size, int, "hop_size", 1, n // 2)
         if self.window != "hann":
             raise ConfigError(f"unsupported window {self.window!r}")
 

@@ -34,7 +34,7 @@ from .bands import (
     estimate_mask,
 )
 from .dsp import IstftTail, OaConfig, StftConfig, istft, mono_signal, observation_add, stft
-from .errors import ConfigError, WeightsFormatError
+from .errors import ConfigError, WeightsFormatError, typed
 from .prune import SbpStrategy, prune_schedule
 from .resample import LwrStrategy, add_held, downsample_t, plan_resampling, reduced_frames, upsample_t
 from .rnn import GroupedLayerWeights, LstmWeights, dense, layer_norm
@@ -56,6 +56,7 @@ class ModelConfig:
     ``(band_factor, time_factor, skip_bands)`` row per layer: the frame-rate
     divisor of each sublayer core (1 = full rate) and the top bands that
     bypass the time RNN, resolved once from ``resample`` and ``prune``.
+    Each field is exactly its annotated type (:func:`errors.typed`).
     """
 
     stft: StftConfig
@@ -73,22 +74,17 @@ class ModelConfig:
     plan: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.feature_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError(
-                f"feature_dim and hidden_dim must be positive, got "
-                f"{self.feature_dim}/{self.hidden_dim}"
-            )
-        if not 0 <= self.num_layers <= MAX_LAYERS:
-            raise ConfigError(f"num_layers must be in [0, {MAX_LAYERS}], got {self.num_layers}")
-        if self.group_size < 1:
-            raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
+        for field, kind, *bounds in (
+                ("stft", StftConfig), ("bands", BandConfig), ("feature_dim", int, 1),
+                ("hidden_dim", int, 1), ("num_layers", int, 0, MAX_LAYERS), ("group_size", int, 1),
+                ("resample", LwrStrategy), ("prune", SbpStrategy), ("time_rnn_causal", bool),
+                ("band_rnn_bidirectional", bool), ("mask_hidden_ratio", int, 1), ("name", str)):
+            typed(getattr(self, field), kind, field, *bounds)
         if self.feature_dim % self.group_size or self.hidden_dim % self.group_size:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} and hidden_dim {self.hidden_dim} "
                 f"must be divisible by group_size {self.group_size}"
             )
-        if self.mask_hidden_ratio < 1:
-            raise ConfigError(f"mask_hidden_ratio must be >= 1, got {self.mask_hidden_ratio}")
         self.bands.validate_for_bins(self.stft.frequency_bins)
         pps_factor, pairs = plan_resampling(self.resample, self.num_layers)
         skips = prune_schedule(self.prune, self.num_layers, self.bands.num_bands)

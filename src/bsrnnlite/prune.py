@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, typed
 
 KINDS = ("none", "aggressive", "progressive")
 
@@ -37,9 +37,7 @@ class SbpStrategy:
         if self.skip_bands is not None:
             if self.kind != "aggressive":
                 raise ConfigError(f"skip_bands only applies to aggressive, not {self.kind!r}")
-            if (not isinstance(self.skip_bands, int) or isinstance(self.skip_bands, bool)
-                    or self.skip_bands < 0):
-                raise ConfigError(f"skip_bands must be a non-negative integer, got {self.skip_bands}")
+            typed(self.skip_bands, int, "skip_bands", 0)
 
     @classmethod
     def none(cls):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, typed
 
 KINDS = ("none", "pps", "all", "sync", "async")
 
@@ -47,15 +47,13 @@ class LwrStrategy:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown resampling kind {self.kind!r}, expected one of {KINDS}")
-        if not isinstance(self.factor, int) or isinstance(self.factor, bool) or self.factor < 1:
-            raise ConfigError(f"resampling factor must be a positive integer, got {self.factor}")
+        typed(self.factor, int, "resampling factor", 1)
         if self.target_layers is not None:
             if self.kind != "sync":
                 raise ConfigError(f"target_layers only applies to sync, not {self.kind!r}")
-            ts = self.target_layers
-            if (any(not isinstance(l, int) or isinstance(l, bool) or l < 1 for l in ts)
-                    or len(set(ts)) != len(ts)):
-                raise ConfigError(f"target_layers must be distinct positive integers, got {ts}")
+            ts = typed(self.target_layers, tuple, "target_layers")
+            if len({typed(l, int, "target layer", 1) for l in ts}) != len(ts):
+                raise ConfigError(f"target_layers must be distinct, got {ts}")
             # one form per plan, so equality and the config round trip follow the plan
             object.__setattr__(self, "target_layers", tuple(sorted(ts)))
         if self.kind == "none":

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .configio import unique_keys
-from .errors import ConfigError, WeightsFormatError
+from .errors import ConfigError, WeightsFormatError, typed
 from .model import ModelConfig, expected_tensors
 
 MAGIC = b"BSRW"
@@ -47,7 +47,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count of the SplitMix64 stream for ``seed``."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
+    z = np.uint64(seed) + idx * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
@@ -66,8 +66,10 @@ def gen_weights(config: ModelConfig, seed: int = 0) -> dict:
     One stream, consumed tensor by tensor in canonical order, so any
     change to the architecture changes every later tensor but the same
     (config, seed) pair always reproduces the same bytes. A config of more
-    than :data:`GEN_PARAMETERS` parameters is refused before anything is made.
+    than :data:`GEN_PARAMETERS` parameters, or a ``seed`` outside [0, 2**64),
+    is refused before anything is made.
     """
+    typed(seed, int, "seed", 0, 2**64 - 1)
     shapes = expected_tensors(config)
     total = sum(math.prod(shape) for shape in shapes.values())
     if total > GEN_PARAMETERS:
@@ -83,10 +85,6 @@ def gen_weights(config: ModelConfig, seed: int = 0) -> dict:
 
 def _align_up(n: int) -> int:
     return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def save_weights(path: str | Path, arrays: dict, meta: dict | None = None) -> None:
@@ -143,13 +141,9 @@ def load_weights(path: str | Path):
             raise WeightsFormatError(f"tensor {name} entry is not an object")
         if info.get("dtype") != "f32":
             raise WeightsFormatError(f"tensor {name} has unsupported dtype {info.get('dtype')!r}")
-        shape, offset = info.get("shape"), info.get("offset")
-        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
-            raise WeightsFormatError(
-                f"tensor {name} shape {shape!r} is not a list of non-negative ints")
-        if not _is_count(offset):
-            raise WeightsFormatError(f"tensor {name} offset {offset!r} is not a non-negative int")
-        shape = tuple(shape)
+        shape = typed(info.get("shape"), list, f"tensor {name} shape", error=WeightsFormatError)
+        shape = tuple(typed(d, int, f"tensor {name} shape", 0, error=WeightsFormatError) for d in shape)
+        offset = typed(info.get("offset"), int, f"tensor {name} offset", 0, error=WeightsFormatError)
         if offset % ALIGNMENT:
             raise WeightsFormatError(f"tensor {name} offset {offset} not {ALIGNMENT}-byte aligned")
         nbytes = math.prod(shape) * 4

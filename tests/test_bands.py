@@ -38,6 +38,12 @@ class TestLayout:
         with pytest.raises(ConfigError):
             BandConfig(((1, 4),))
 
+    @pytest.mark.parametrize("boundaries", [((0, 4, 8),), ((0, 4), (4,))], ids=["three", "one"])
+    def test_band_that_is_not_a_pair_rejected(self, boundaries):
+        # unpacking the band raised ValueError, not ConfigError
+        with pytest.raises(ConfigError, match="pair"):
+            BandConfig(boundaries)
+
     def test_coverage_check(self):
         with pytest.raises(ConfigError, match="covers"):
             BandConfig(((0, 4), (4, 8))).validate_for_bins(9)

@@ -229,7 +229,7 @@ class TestRoundTrip:
     ], ids=["pps-factor", "aggressive-skip-bands", "sync-target-layers"])
     def test_bool_strategy_field_refused_so_saved_configs_load(self, make, tmp_path):
         # True passed as 1 and was saved as ``true``, which load_config refuses
-        with pytest.raises(ConfigError, match="integer"):
+        with pytest.raises(ConfigError, match="must be int, got True"):
             make(True)
         save_config(make(1), tmp_path / "c.json")
         assert load_config(tmp_path / "c.json") == make(1)

@@ -10,7 +10,9 @@ Every warning counts as shown on stderr, so a warning breaks the
 one-line rule, and lines are counted by ``str.splitlines``, so a path or a
 tensor name holding any line break it knows must not split a line. A flags
 run also writes no file but the command's output, and never the command's
-own config or weights.
+own config or weights. Beside the command line, configs built field by
+field, some field holding a value of another type, are either refused at
+construction or save and load back equal.
 """
 
 import contextlib
@@ -26,7 +28,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bsrnnlite import LwrStrategy, SbpStrategy, cli, gen_weights, save_weights, wavio
+from bsrnnlite import BandConfig, ConfigError, LwrStrategy, ModelConfig, SbpStrategy, StftConfig
+from bsrnnlite import analyze, canonical_config, cli, gen_weights, load_config, save_config
+from bsrnnlite import save_weights, wavio
 from bsrnnlite.configio import config_to_dict
 from bsrnnlite.weights_io import ALIGNMENT
 
@@ -351,3 +355,95 @@ def test_flags(files, argv):
         output = " ".join(cli.build_parser().parse_args(argv).output.split())
         assert status.startswith(f"{output}: "), status
     _assert_contract(code, stderr, set(CATEGORY) | {cli.EXIT_OK})
+
+
+def _tuples(value):
+    """``value`` with every list made a tuple, at any depth."""
+    if isinstance(value, dict):
+        return {key: _tuples(item) for key, item in value.items()}
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _recipe(**fields):
+    """ModelConfig's keyword arguments as plain values: canonical-v1's, ``fields`` replaced.
+    The STFT and the strategies are dicts of their fields, and the bands lists of bounds."""
+    return {"stft": {"sample_rate": 16000, "fft_size": 512, "hop_size": 256},
+            "bands": [list(pair) for pair in canonical_config().bands.boundaries],
+            "feature_dim": 126, "hidden_dim": 72, "num_layers": 6, "group_size": 1,
+            "resample": {"kind": "none"}, "prune": {"kind": "none"}, "time_rnn_causal": True,
+            "band_rnn_bidirectional": True, "mask_hidden_ratio": 4, "name": "canonical-v1",
+            **fields}
+
+
+def _config_from(recipe) -> ModelConfig:
+    """The config a recipe describes; a field holding an odd value is passed on as it is."""
+    fields = _tuples(recipe)
+    for key, cls in (("stft", StftConfig), ("resample", LwrStrategy), ("prune", SbpStrategy)):
+        if isinstance(fields[key], dict):
+            fields[key] = cls(**fields[key])
+    if isinstance(fields["bands"], tuple):
+        fields["bands"] = BandConfig(fields["bands"])
+    return ModelConfig(**fields)
+
+
+@st.composite
+def _recipes(draw):
+    """A recipe from the presets' dims, the six strategies, group sizes, both flags and odd
+    names; one time in three, one field at any depth then holds an odd value."""
+    resample = {"kind": draw(st.sampled_from(("none", "pps", "all", "sync", "async"))),
+                "factor": draw(st.sampled_from((1, 2, 4, 16)))}
+    if resample["kind"] == "sync" and draw(st.booleans()):
+        resample["target_layers"] = draw(st.lists(st.integers(1, 7), max_size=3))
+    prune = {"kind": draw(st.sampled_from(("none", "aggressive", "progressive")))}
+    if prune["kind"] == "aggressive" and draw(st.booleans()):
+        prune["skip_bands"] = draw(st.integers(0, 23))
+    recipe = _recipe(
+        feature_dim=draw(st.sampled_from((126, 72))), hidden_dim=draw(st.sampled_from((72, 126))),
+        num_layers=draw(st.integers(0, 6)), group_size=draw(st.integers(1, 4)),
+        resample=resample, prune=prune, time_rnn_causal=draw(st.booleans()),
+        band_rnn_bidirectional=draw(st.booleans()), mask_hidden_ratio=draw(st.integers(1, 4)),
+        name=draw(st.text(max_size=8)))
+    if draw(st.integers(0, 2)):
+        return recipe
+    path = draw(st.sampled_from(sorted((p for p in _paths(recipe) if p[-1] != "extra"), key=repr)))
+    value = recipe
+    for key in path:
+        value = value[key]
+    same = (float(value), np.int64(value)) if type(value) is int else ()
+    return _mutate(recipe, path, draw(st.sampled_from((True, 1.0, np.int64(2), "x", *same))))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(recipe=_recipes())
+# each constructed, and then save_config wrote a file that load_config refused ...
+@example(recipe=_recipe(mask_hidden_ratio=True))
+@example(recipe=_recipe(group_size=True))
+@example(recipe=_recipe(feature_dim=126.0))
+@example(recipe=_recipe(time_rnn_causal=1))
+@example(recipe=_recipe(band_rnn_bidirectional="yes"))
+@example(recipe=_recipe(name=5))
+@example(recipe=_mutate(_recipe(), ("stft", "hop_size"), True))
+@example(recipe=_mutate(_recipe(), ("stft", "sample_rate"), 16000.0))
+@example(recipe=_recipe(bands=[[0, True], [True, 257]]))
+# ... or save_config raised TypeError
+@example(recipe=_recipe(num_layers=np.int64(6)))
+@example(recipe=_recipe(bands=[[np.int64(a), np.int64(b)] for a, b in _recipe()["bands"]]))
+def test_config_is_refused_or_saves_and_loads_back(recipe):
+    try:
+        config = _config_from(recipe)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        save_config(config, Path(tmp) / "config.json")
+        back = load_config(Path(tmp) / "config.json")
+    assert back == config and analyze(back) == analyze(config)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**70])  # the tensors of seed 2**64 - 1 and of seed 0
+def test_seed_outside_the_stream_refused(files, seed, tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        gen_weights(CONFIG, seed)
+    out = tmp_path / "out.bsrw"
+    _assert_contract(*_run(["gen-weights", "--config", str(files / "config.json"),
+                            f"--seed={seed}", "--output", str(out)]), {cli.EXIT_CONFIG})
+    assert not out.exists()
